@@ -191,40 +191,22 @@ void RunRealModeCfoSpeedup() {
     std::exit(1);
   }
 
-  // Fetch-wait attribution (DESIGN.md section 14): how many of each run's
-  // consumer-thread seconds went to acquiring input blocks vs computing.
-  auto fetch_wait = [](const ExecutionReport& report) {
-    double seconds = 0.0;
-    for (const StageTelemetry& t : report.telemetry) {
-      seconds += t.pipeline.fetch_wait_seconds;
-    }
-    return seconds;
-  };
-  const double serial_wait = fetch_wait(sr);
-  const double parallel_wait = fetch_wait(pr);
-
   std::printf(
-      "serial  %.3fs (fetch-wait %.3fs)\nparallel %.3fs (fetch-wait %.3fs)\n"
+      "serial  %.3fs\nparallel %.3fs\n"
       "speedup %.2fx at %d threads (outputs and StageStats identical)\n\n",
-      serial, serial_wait, parallel, parallel_wait, serial / parallel,
-      machine);
+      serial, parallel, serial / parallel, machine);
 
-  auto config = [&](int threads, double wait_seconds) {
-    char wait[32];
-    std::snprintf(wait, sizeof(wait), "%.6f", wait_seconds);
+  auto config = [&](int threads) {
     std::vector<std::pair<std::string, std::string>> c = {
         {"n", std::to_string(n)},
         {"k", std::to_string(k)},
         {"block_size", std::to_string(bs)},
-        {"threads", std::to_string(threads)},
-        {"fetch_wait_seconds", wait}};
+        {"threads", std::to_string(threads)}};
     return c;
   };
-  BenchRecord rec_serial =
-      RecordFor("cfo_real_mode", sr, config(1, serial_wait));
+  BenchRecord rec_serial = RecordFor("cfo_real_mode", sr, config(1));
   rec_serial.elapsed_seconds = serial;  // wall clock, not modeled seconds
-  BenchRecord rec_parallel =
-      RecordFor("cfo_real_mode", pr, config(machine, parallel_wait));
+  BenchRecord rec_parallel = RecordFor("cfo_real_mode", pr, config(machine));
   rec_parallel.elapsed_seconds = parallel;
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.3f", serial / parallel);

@@ -3,15 +3,12 @@
 //
 //   $ ./build/examples/quickstart
 //   $ ./build/examples/quickstart --faults   # same run under fault injection
-//   $ ./build/examples/quickstart --prefetch-depth=0   # synchronous fetch
 //
 // The query is the paper's running example, O = X * log(U × Vᵀ + eps),
 // with a sparse X — the pattern where cuboid-based fusion shines.  With
 // --faults, a seeded schedule kills work items and stages OOM; the engine
 // retries and degrades, and the result must stay bitwise identical to the
-// clean run's.  --prefetch-depth=N sets how many output blocks ahead the
-// async shuffle stages input copies (0 disables prefetching entirely);
-// every depth must produce the same result and report.
+// clean run's.
 
 #include <cstdio>
 #include <cstdlib>
@@ -23,14 +20,11 @@ using namespace fuseme;  // NOLINT — example brevity
 
 int main(int argc, char** argv) {
   bool with_faults = false;
-  int prefetch_depth = -1;  // -1 = keep the ClusterConfig default
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--faults") == 0) {
       with_faults = true;
-    } else if (std::strncmp(argv[i], "--prefetch-depth=", 17) == 0) {
-      prefetch_depth = std::atoi(argv[i] + 17);
     } else {
-      std::printf("usage: %s [--faults] [--prefetch-depth=N]\n", argv[0]);
+      std::printf("usage: %s [--faults]\n", argv[0]);
       return 1;
     }
   }
@@ -60,7 +54,6 @@ int main(int argc, char** argv) {
   cluster.num_nodes = 4;
   cluster.tasks_per_node = 4;
   cluster.block_size = block;
-  if (prefetch_depth >= 0) cluster.prefetch_depth = prefetch_depth;
 
   EngineOptions::Builder builder;
   builder.System(SystemMode::kFuseMe).Cluster(cluster);

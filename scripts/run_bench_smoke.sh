@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Smoke-runs the two measurement harnesses at tiny configurations and
+# Smoke-runs the measurement harnesses at tiny configurations and
 # asserts that their BENCH_*.json result sinks are written and embed a
 # metrics snapshot (see DESIGN.md section 12).  Used by scripts/check.sh
 # when FUSEME_CHECK_BENCH=1; safe to run standalone.
@@ -11,7 +11,6 @@ BUILD_DIR=${1:-build}
 
 if [[ ! -x "$BUILD_DIR/bench/bench_microkernels" ||
       ! -x "$BUILD_DIR/bench/bench_fig12_operators" ||
-      ! -x "$BUILD_DIR/bench/bench_overlap" ||
       ! -x "$BUILD_DIR/bench/bench_sparse" ||
       ! -x "$BUILD_DIR/bench/bench_compile" ]]; then
   echo "error: bench binaries missing under $BUILD_DIR/bench -- build first" >&2
@@ -21,7 +20,6 @@ fi
 # Small shapes so the smoke run takes seconds, not minutes.
 export FUSEME_BENCH_GEMM_N=${FUSEME_BENCH_GEMM_N:-256}
 export FUSEME_BENCH_CFO_N=${FUSEME_BENCH_CFO_N:-512}
-export FUSEME_BENCH_OVERLAP_N=${FUSEME_BENCH_OVERLAP_N:-256}
 export FUSEME_BENCH_SPARSE_N=${FUSEME_BENCH_SPARSE_N:-512}
 export FUSEME_BENCH_COMPILE_N=${FUSEME_BENCH_COMPILE_N:-256}
 
@@ -55,9 +53,6 @@ run_and_check "$PWD/$BUILD_DIR/bench/bench_microkernels" \
   BENCH_microkernels.json --benchmark_filter='^$'
 run_and_check "$PWD/$BUILD_DIR/bench/bench_fig12_operators" \
   BENCH_fig12_operators.json
-# Serial vs double-buffered prefetch; exits non-zero if prefetching
-# changes outputs or StageStats.
-run_and_check "$PWD/$BUILD_DIR/bench/bench_overlap" BENCH_overlap.json
 # Sparsity-aware kernels vs dense-style execution; exits non-zero if fewer
 # than two cells show a speedup or the sparse-stage prediction drifts past 2x.
 run_and_check "$PWD/$BUILD_DIR/bench/bench_sparse" BENCH_sparse.json

@@ -18,7 +18,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 # parallel operators (including the serial-vs-parallel determinism suite
 # and the fault-injection retry path, which merges recovery accounting
 # from worker threads).
-REGEX=${1:-'Synchronization|ThreadPool|GlobalThreadPool|ParallelDeterminism|PrefetchDeterminism|Prefetcher|MatMul|BlockedMatrix|Stage|FusedOperator|OperatorSweep|Metrics|Logging|FaultTolerance|FaultInjector|FaultSpec|RetryPolicy|StageRecovery|OptionsValidation|SparseKernels|EventJournal|Sampler|HttpServer|HttpExporter|SolverRegistry|CompiledPlan'}
+REGEX=${1:-'Synchronization|ThreadPool|GlobalThreadPool|ParallelDeterminism|MatMul|BlockedMatrix|Stage|FusedOperator|OperatorSweep|Metrics|Logging|FaultTolerance|FaultInjector|FaultSpec|RetryPolicy|StageRecovery|OptionsValidation|SparseKernels|EventJournal|Sampler|HttpServer|HttpExporter|SolverRegistry|CompiledPlan'}
 
 # Exercise more than one thread even on small CI machines.
 export FUSEME_THREADS=${FUSEME_THREADS:-4}

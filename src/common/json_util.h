@@ -12,6 +12,8 @@
 #define FUSEME_COMMON_JSON_UTIL_H_
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -162,21 +164,36 @@ class JsonReader {
     return out;
   }
 
+  /// Reads a finite number; malformed tokens ("-", "--1", "1-2") and
+  /// values that overflow a double ("1e999") are errors.
   Result<double> ReadNumber() {
     FUSEME_ASSIGN_OR_RETURN(const std::string token, ReadNumberToken());
-    return std::stod(token);
+    return ParseDouble(token);
   }
 
   /// Reads a number that the writer emitted as an integer, exactly (no
   /// round-trip through double, which loses precision past 2^53).  Floats
-  /// are accepted and truncated toward zero.
+  /// are accepted and truncated toward zero; values outside the int64
+  /// range are errors.
   Result<std::int64_t> ReadInt() {
     FUSEME_ASSIGN_OR_RETURN(const std::string token, ReadNumberToken());
     if (token.find_first_of(".eE") == std::string::npos) {
-      return static_cast<std::int64_t>(std::strtoll(token.c_str(), nullptr,
-                                                    10));
+      errno = 0;
+      char* end = nullptr;
+      const long long v = std::strtoll(token.c_str(), &end, 10);
+      if (end != token.c_str() + token.size()) {
+        return Error("malformed integer '" + token + "'");
+      }
+      if (errno == ERANGE) return Error("integer out of range '" + token + "'");
+      return static_cast<std::int64_t>(v);
     }
-    return static_cast<std::int64_t>(std::stod(token));
+    FUSEME_ASSIGN_OR_RETURN(const double v, ParseDouble(token));
+    // [-2^63, 2^63): the doubles whose truncation fits an int64.
+    constexpr double kTwo63 = 9223372036854775808.0;
+    if (!(v >= -kTwo63 && v < kTwo63)) {
+      return Error("integer out of range '" + token + "'");
+    }
+    return static_cast<std::int64_t>(v);
   }
 
   /// Skips one value of any supported type (used for ignored keys).
@@ -228,6 +245,19 @@ class JsonReader {
     }
     if (pos_ == start) return Error("expected number");
     return text_.substr(start, pos_ - start);
+  }
+
+  /// strtod over the whole token.  Underflow to zero or a subnormal is
+  /// accepted (errno ERANGE with a finite result); overflow is not.
+  Result<double> ParseDouble(const std::string& token) const {
+    errno = 0;
+    char* end = nullptr;
+    const double v = std::strtod(token.c_str(), &end);
+    if (end != token.c_str() + token.size()) {
+      return Error("malformed number '" + token + "'");
+    }
+    if (!std::isfinite(v)) return Error("number out of range '" + token + "'");
+    return v;
   }
 
   const std::string& text_;

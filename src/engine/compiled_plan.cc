@@ -188,9 +188,6 @@ void AppendClusterJson(std::string* out, const ClusterConfig& c) {
   *out += ",\"task_launch_overhead\":" + JsonDouble(c.task_launch_overhead);
   *out += ",\"shuffle_cpu_factor\":" + JsonDouble(c.shuffle_cpu_factor);
   *out += ",\"overlap_factor\":" + JsonDouble(c.overlap_factor);
-  *out += ",\"prefetch_depth\":" + std::to_string(c.prefetch_depth);
-  *out += ",\"emulated_shuffle_seconds_per_byte\":" +
-          JsonDouble(c.emulated_shuffle_seconds_per_byte);
   *out += ",\"local_threads\":" + std::to_string(c.local_threads);
   *out += "}";
 }
@@ -223,12 +220,6 @@ Status ReadClusterJson(JsonReader& r, ClusterConfig* c) {
       FUSEME_ASSIGN_OR_RETURN(c->shuffle_cpu_factor, r.ReadNumber());
     } else if (key == "overlap_factor") {
       FUSEME_ASSIGN_OR_RETURN(c->overlap_factor, r.ReadNumber());
-    } else if (key == "prefetch_depth") {
-      FUSEME_ASSIGN_OR_RETURN(const std::int64_t v, r.ReadInt());
-      c->prefetch_depth = static_cast<int>(v);
-    } else if (key == "emulated_shuffle_seconds_per_byte") {
-      FUSEME_ASSIGN_OR_RETURN(c->emulated_shuffle_seconds_per_byte,
-                              r.ReadNumber());
     } else if (key == "local_threads") {
       FUSEME_ASSIGN_OR_RETURN(const std::int64_t v, r.ReadInt());
       c->local_threads = static_cast<int>(v);
@@ -534,6 +525,20 @@ int DensityBucket(std::int64_t nnz, std::int64_t cells) {
 
 }  // namespace
 
+Status CheckInputBlockSizes(const Dag& dag,
+                            const std::map<NodeId, BlockedMatrix>& inputs,
+                            std::int64_t block_size) {
+  for (const auto& [id, m] : inputs) {
+    if (m.block_size() == block_size) continue;
+    std::string name = "v" + std::to_string(id);
+    if (id >= 0 && id < dag.num_nodes()) name += " (" + dag.node(id).name + ")";
+    return Status::InvalidArgument(
+        "input " + name + " is blocked at " + std::to_string(m.block_size()) +
+        " but the cluster block size is " + std::to_string(block_size));
+  }
+  return Status::OK();
+}
+
 Status CompiledPlan::CheckCompatible(
     const EngineOptions& options,
     const std::map<NodeId, BlockedMatrix>& inputs) const {
@@ -552,8 +557,7 @@ Status CompiledPlan::CheckCompatible(
         (options.analytic ? "analytic" : "real") + " mode");
   }
   // Only the modeling fields matter: the plans, cuboids, and predictions
-  // were chosen for them.  Execution-side knobs (prefetch depth, local
-  // threads, transfer pacing) are documented result-invariant.
+  // were chosen for them.  local_threads is documented result-invariant.
   const ClusterConfig& a = cluster_;
   const ClusterConfig& b = options.cluster;
   auto mismatch = [](const char* field, const std::string& artifact,
@@ -605,6 +609,7 @@ Status CompiledPlan::CheckCompatible(
     return mismatch("overlap_factor", JsonDouble(a.overlap_factor),
                     JsonDouble(b.overlap_factor));
   }
+  FUSEME_RETURN_IF_ERROR(CheckInputBlockSizes(*dag_, inputs, b.block_size));
 
   for (const auto& [id, m] : inputs) {
     if (id < 0 || id >= dag_->num_nodes()) continue;

@@ -68,6 +68,14 @@ struct CompiledStageTable {
   std::vector<CompiledStage> stages;
 };
 
+/// InvalidArgument naming the first bound input of `inputs` whose block
+/// size is not `block_size` (and both sizes); OK when all match.  Every
+/// execute path runs it before binding, so a mismatched input comes back
+/// as a Status instead of aborting.
+Status CheckInputBlockSizes(const Dag& dag,
+                            const std::map<NodeId, BlockedMatrix>& inputs,
+                            std::int64_t block_size);
+
 /// A compiled execution artifact: an owned copy of the query DAG, the
 /// fusion plan set over it, and the per-stage solver/prediction table.
 /// Move-only (stages reference the owned DAG through the plan set).
@@ -99,12 +107,13 @@ class CompiledPlan {
 
   /// Cheap pre-execution compatibility check: the executing engine's
   /// system/mode/cluster must match what the artifact was compiled for,
-  /// and every bound input must match its DAG leaf's shape exactly and
-  /// its recorded sparsity class (density buckets of floor(log2(d)),
-  /// ±1 bucket of grace).  Returns InvalidArgument naming the precise
-  /// mismatch; inputs the DAG doesn't declare are ignored, and missing
-  /// ones follow the run path's own rules (synthesized in analytic mode,
-  /// InvalidArgument at bind time in real mode).
+  /// every bound input must be blocked at the cluster block size, and
+  /// must match its DAG leaf's shape exactly and its recorded sparsity
+  /// class (density buckets of floor(log2(d)), ±1 bucket of grace).
+  /// Returns InvalidArgument naming the precise mismatch; inputs the DAG
+  /// doesn't declare are ignored (their block size is still checked),
+  /// and missing ones follow the run path's own rules (synthesized in
+  /// analytic mode, InvalidArgument at bind time in real mode).
   Status CheckCompatible(const EngineOptions& options,
                          const std::map<NodeId, BlockedMatrix>& inputs) const;
 

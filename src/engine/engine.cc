@@ -484,13 +484,23 @@ Engine::RunResult Engine::ExecuteCompiled(
     return out;
   }
 
+  out.report.status =
+      CheckInputBlockSizes(dag, inputs, options_.cluster.block_size);
+  if (!out.report.status.ok()) {
+    if (journal_ != nullptr) {
+      journal_->Emit(LogLevel::kError, event_names::kRunFinish,
+                     {{"status", RunStatusLabel(out.report.status)},
+                      {"elapsed_seconds", "0"},
+                      {"stages", "0"}});
+    }
+    return out;
+  }
+
   const SolverEnv solver_env = MakeSolverEnv();
   Simulator sim(options_.cluster);
 
   std::map<NodeId, DistributedMatrix> materialized;
   for (const auto& [id, m] : inputs) {
-    FUSEME_CHECK_EQ(m.block_size(), options_.cluster.block_size)
-        << "input block size must match the cluster configuration";
     materialized.emplace(
         id, DistributedMatrix::Create(m, PartitionScheme::kGrid,
                                       options_.cluster.total_tasks()));
@@ -635,7 +645,6 @@ Engine::RunResult Engine::ExecuteCompiled(
             StageContext ctx(label, options_.cluster);
             ctx.set_tracer(options_.tracer);
             ctx.set_metrics(options_.metrics);
-            ctx.set_journal(journal_);
             if (injector != nullptr) {
               ctx.ConfigureRecovery(injector, stage_ordinal,
                                     options_.recovery.retry);
@@ -644,7 +653,6 @@ Engine::RunResult Engine::ExecuteCompiled(
             stats = ctx.Finalize();
             stats.label = label;
             telemetry.threads = ctx.Parallelism();
-            telemetry.pipeline = ctx.pipeline();
             const StageRecovery items = ctx.recovery();
             recovery.attempts += items.attempts;
             recovery.retries += items.retries;
@@ -781,19 +789,6 @@ Engine::RunResult Engine::ExecuteCompiled(
     out.report.speculative_tasks += recovery.speculative_tasks;
     RecordStageMetrics(options_.metrics, stats, telemetry.wall_seconds,
                        telemetry.predicted);
-    if (options_.metrics != nullptr &&
-        (telemetry.pipeline.fetch_wait_seconds > 0.0 ||
-         telemetry.pipeline.compute_busy_seconds > 0.0)) {
-      // Overlap telemetry (DESIGN.md section 14): host wall-clock split of
-      // work-item time into transfer stalls and kernel compute, plus the
-      // per-stage overlap efficiency the prefetcher achieved.
-      options_.metrics->GetGauge(metric_names::kFetchWaitSeconds)
-          ->Add(telemetry.pipeline.fetch_wait_seconds);
-      options_.metrics->GetGauge(metric_names::kComputeBusySeconds)
-          ->Add(telemetry.pipeline.compute_busy_seconds);
-      options_.metrics->GetGauge(metric_names::kStageOverlapEfficiency)
-          ->Set(telemetry.pipeline.OverlapEfficiency());
-    }
 
     if (options_.tracer != nullptr) {
       TraceSpan span;

@@ -131,10 +131,10 @@ struct EngineOptions {
   /// counters/gauges/histograms into it — see telemetry/metric_names.h and
   /// DESIGN.md section 12.  Null disables with no hot-path cost.
   MetricsRegistry* metrics = nullptr;
-  /// Optional flight-recorder sink (not owned): when set, the engine and
-  /// runtime emit structured events (telemetry/event_names.h) into it —
-  /// run lifecycle, planner/optimizer decisions, verifier diagnostics,
-  /// stage commits, the fault path, prefetcher stalls.  Null disables at
+  /// Optional flight-recorder sink (not owned): when set, the engine
+  /// emits structured events (telemetry/event_names.h) into it — run
+  /// lifecycle, planner/optimizer decisions, verifier diagnostics, stage
+  /// commits, the fault path.  Null disables at
   /// one pointer test, like tracer/metrics.  Mutually exclusive with
   /// observability.journal_capacity (which makes the engine own one).
   EventJournal* journal = nullptr;

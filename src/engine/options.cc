@@ -48,13 +48,6 @@ Status ValidateCluster(const ClusterConfig& c) {
   if (c.overlap_factor < 0.0 || c.overlap_factor > 1.0) {
     return Invalid("cluster.overlap_factor must lie in [0, 1]");
   }
-  if (c.prefetch_depth < 0) {
-    return Invalid("cluster.prefetch_depth must be >= 0 (0 = synchronous)");
-  }
-  if (!(c.emulated_shuffle_seconds_per_byte >= 0)) {
-    return Invalid(
-        "cluster.emulated_shuffle_seconds_per_byte must be >= 0");
-  }
   return Status::OK();
 }
 

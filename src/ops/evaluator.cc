@@ -36,69 +36,6 @@ NodeGrid KernelEvaluator::Grid(NodeId node) const {
   return NodeGrid{n.rows, n.cols, block_size_};
 }
 
-void KernelEvaluator::EnumerateFetches(NodeId node, std::int64_t bi,
-                                       std::int64_t bj, std::set<Key>* seen,
-                                       std::vector<FetchTarget>* out) const {
-  // Per-call memo over plan members so shared sub-DAGs are walked once;
-  // `seen` dedups the external targets across the whole pipeline.
-  std::set<Key> visited;
-  std::function<void(NodeId, std::int64_t, std::int64_t)> walk =
-      [&](NodeId id, std::int64_t wbi, std::int64_t wbj) {
-        const Key key{id, wbi, wbj};
-        if (injected_.contains(key)) return;  // pre-bound: never fetched
-        const Dag& dag = plan_->dag();
-        const Node& n = dag.node(id);
-        if (!plan_->Contains(id)) {
-          if (n.kind == OpKind::kScalar) return;  // consumed inline
-          // Memoized external blocks were fetched by an earlier Eval.
-          if (cache_.contains(key)) return;
-          if (seen->insert(key).second) out->push_back({id, wbi, wbj});
-          return;
-        }
-        // A memoized plan member re-fetches nothing below it.
-        if (cache_.contains(key)) return;
-        if (!visited.insert(key).second) return;
-        switch (n.kind) {
-          case OpKind::kInput:
-          case OpKind::kScalar:
-            return;
-          case OpKind::kUnary:
-          case OpKind::kUnaryAgg:
-            walk(n.inputs[0], wbi, wbj);
-            return;
-          case OpKind::kBinary: {
-            // Covers the sparse-driver masked path too: its element walk
-            // touches a subset of the blocks the generic path evaluates.
-            if (dag.node(n.inputs[0]).kind != OpKind::kScalar) {
-              walk(n.inputs[0], wbi, wbj);
-            }
-            if (dag.node(n.inputs[1]).kind != OpKind::kScalar) {
-              walk(n.inputs[1], wbi, wbj);
-            }
-            return;
-          }
-          case OpKind::kMatMul: {
-            const Node& lhs = dag.node(n.inputs[0]);
-            const NodeGrid lhs_grid{lhs.rows, lhs.cols, block_size_};
-            std::int64_t k0 = 0, k1 = lhs_grid.grid_cols();
-            if (id == restricted_mm_) {
-              k0 = k_begin_;
-              k1 = k_end_;
-            }
-            for (std::int64_t kk = k0; kk < k1; ++kk) {
-              walk(n.inputs[0], wbi, kk);
-              walk(n.inputs[1], kk, wbj);
-            }
-            return;
-          }
-          case OpKind::kTranspose:
-            walk(n.inputs[0], wbj, wbi);
-            return;
-        }
-      };
-  walk(node, bi, bj);
-}
-
 Result<Block> KernelEvaluator::Eval(NodeId node, std::int64_t bi,
                                     std::int64_t bj) {
   const Key key{node, bi, bj};

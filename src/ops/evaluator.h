@@ -90,26 +90,6 @@ class KernelEvaluator {
   /// Geometry of `node` under the evaluator's block size.
   NodeGrid Grid(NodeId node) const;
 
-  /// An external block a future Eval(node, bi, bj) may pull through the
-  /// fetcher.
-  struct FetchTarget {
-    NodeId node = kInvalidNode;
-    std::int64_t bi = 0;
-    std::int64_t bj = 0;
-  };
-
-  /// Appends to `out` the external input blocks that evaluating block
-  /// (bi, bj) of `node` can fetch, honoring the current k-restriction and
-  /// skipping injected and already-memoized sub-blocks.  A conservative
-  /// superset: the sparse-driver element path and zero-mask shortcuts may
-  /// visit fewer blocks at runtime, never more.  `seen` dedups across
-  /// calls (one set per pipeline), so each block is listed at most once.
-  /// Pure lookahead for the prefetch pipeline — performs no evaluation,
-  /// touches no caches, charges nothing.
-  void EnumerateFetches(NodeId node, std::int64_t bi, std::int64_t bj,
-                        std::set<Key>* seen,
-                        std::vector<FetchTarget>* out) const;
-
   /// FLOPs executed since construction / the last ResetFlops.
   std::int64_t flops() const { return flops_; }
   void ResetFlops() { flops_ = 0; }

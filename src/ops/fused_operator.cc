@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -16,7 +14,6 @@
 #include "matrix/block_ops.h"
 #include "matrix/sparse_kernels.h"
 #include "ops/evaluator.h"
-#include "runtime/prefetcher.h"
 #include "telemetry/metric_names.h"
 #include "telemetry/metrics.h"
 #include "telemetry/tracer.h"
@@ -87,40 +84,15 @@ std::vector<std::int64_t> TileAxisNnz(const BlockedMatrix& m, int axis) {
   return out;
 }
 
-/// Emulated transfer pacing (ClusterConfig::emulated_shuffle_seconds_per_
-/// byte): stands in for the network time an in-process block copy doesn't
-/// pay.  Sleeping idles the CPU, so a staged copy genuinely overlaps
-/// compute.  Wall-clock only; no effect on results or accounting.
-void PaceTransfer(double seconds_per_byte, const Block& block) {
-  if (seconds_per_byte <= 0.0 || !block.is_real()) return;
-  std::this_thread::sleep_for(std::chrono::duration<double>(
-      static_cast<double>(block.SizeBytes()) * seconds_per_byte));
-}
-
 /// Per-task fetch dedup + accounting.  One instance per work item: the
 /// tasks a work item executes are owned exclusively by it, so the dedup
 /// sets never race and the charges land in the item's local accounting.
-///
-/// When a FetchPipeline attaches a BlockPrefetcher, the closure consumes
-/// staged copies instead of copying inline — but only *after* performing
-/// the exact same dedup and charges on the consumer thread, so StageStats
-/// are bitwise-identical with and without prefetching (charge-on-consume;
-/// DESIGN.md section 14).
+/// A "fetch" is a shared-payload Block copy, so it runs inline on the
+/// work item's thread.
 class TaskFetcher {
  public:
-  TaskFetcher(const FusedInputs* inputs, StageAccounting* acct,
-              StagePipeline* pipe, double pace_seconds_per_byte)
-      : inputs_(inputs),
-        acct_(acct),
-        pipe_(pipe),
-        pace_spb_(pace_seconds_per_byte) {}
-
-  /// The active prefetcher consulted after charging (null = fetch
-  /// directly).  Set and cleared by FetchPipeline.
-  void set_prefetcher(BlockPrefetcher* prefetcher) {
-    prefetcher_ = prefetcher;
-  }
-  double pace_seconds_per_byte() const { return pace_spb_; }
+  TaskFetcher(const FusedInputs* inputs, StageAccounting* acct)
+      : inputs_(inputs), acct_(acct) {}
 
   /// A fetcher closure for `task`.  First fetch of a block charges its
   /// bytes as live task memory, and as consolidation traffic unless the
@@ -140,33 +112,14 @@ class TaskFetcher {
                                 std::to_string(id));
       }
       const Block& block = m.block(bi, bj);
-      const bool first_fetch = fetched_[task].insert({id, bi, bj}).second;
-      if (first_fetch) {
+      if (fetched_[task].insert({id, bi, bj}).second) {
         const std::int64_t bytes = block.SizeBytes();
         if (it->second->Owner(bi, bj) != task) {
           acct_->ChargeConsolidation(task, bytes);
         }
         FUSEME_RETURN_IF_ERROR(acct_->ChargeMemory(task, bytes));
       }
-      if (prefetcher_ != nullptr) {
-        if (std::optional<Result<Block>> staged =
-                prefetcher_->Take(PrefetchKey{id, bi, bj})) {
-          return std::move(*staged);
-        }
-        if (pipe_ != nullptr) ++pipe_->prefetch_misses;
-      }
-      // Synchronous path: the copy (the modeled transfer) runs on the
-      // consumer thread and counts as fetch-wait.
-      const auto begin = std::chrono::steady_clock::now();
-      if (first_fetch) PaceTransfer(pace_spb_, block);
-      Result<Block> out(block);
-      if (pipe_ != nullptr) {
-        pipe_->fetch_wait_seconds +=
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          begin)
-                .count();
-      }
-      return out;
+      return block;
     };
   }
 
@@ -178,168 +131,8 @@ class TaskFetcher {
  private:
   const FusedInputs* inputs_;
   StageAccounting* acct_;
-  StagePipeline* pipe_;
-  double pace_spb_;
-  BlockPrefetcher* prefetcher_ = nullptr;
   std::map<int, std::set<std::tuple<NodeId, std::int64_t, std::int64_t>>>
       fetched_;
-};
-
-/// The prefetcher's copy source: a plain read of the stage's immutable
-/// inputs, paced like any other modeled transfer.  Safe from any thread.
-BlockPrefetcher::Source MakeSource(const FusedInputs* inputs,
-                                   double pace_seconds_per_byte) {
-  return [inputs, pace_seconds_per_byte](
-             const PrefetchKey& key) -> Result<Block> {
-    auto it = inputs->find(key.node);
-    if (it == inputs->end()) {
-      return Status::Internal("missing input matrix for node v" +
-                              std::to_string(key.node));
-    }
-    const BlockedMatrix& m = it->second->blocks();
-    if (key.bi < 0 || key.bi >= m.grid_rows() || key.bj < 0 ||
-        key.bj >= m.grid_cols()) {
-      return Status::Internal("block coordinate out of range for v" +
-                              std::to_string(key.node));
-    }
-    const Block& block = m.block(key.bi, key.bj);
-    PaceTransfer(pace_seconds_per_byte, block);
-    return block;
-  };
-}
-
-/// Bridges prefetcher copies to "prefetch" tracer spans, so TRACE_*.json
-/// shows transfers pipelining against work-item compute.  Null tracer →
-/// null hook (the prefetcher then skips the call entirely).
-BlockPrefetcher::CopyHook MakeCopyHook(Tracer* tracer, std::string stage) {
-  if (tracer == nullptr) return nullptr;
-  return [tracer, stage](const PrefetchKey& key) {
-    const std::int64_t begin_us = tracer->NowMicros();
-    return [tracer, stage, key, begin_us](PrefetchOutcome outcome) {
-      TraceSpan span;
-      span.name = "prefetch v" + std::to_string(key.node) + " (" +
-                  std::to_string(key.bi) + "," + std::to_string(key.bj) +
-                  ")";
-      span.category = "prefetch";
-      span.begin_us = begin_us;
-      span.end_us = tracer->NowMicros();
-      span.tid = tracer->CurrentThreadId();
-      span.args.emplace_back("stage", stage);
-      span.args.emplace_back("outcome", PrefetchOutcomeName(outcome));
-      tracer->Record(std::move(span));
-    };
-  };
-}
-
-/// Drives the asynchronous fetch pipeline of one evaluator over an
-/// ordered list of output blocks (DESIGN.md section 14).  Before block
-/// `idx` is evaluated, the external-input blocks of outputs
-/// [idx, idx + depth] have been enumerated (EnumerateFetches) and staged
-/// on the thread pool, so their copies run while earlier blocks compute;
-/// depth 1 is classic double buffering.  Depth 0 — and meta-block stages,
-/// which pass depth 0 — skip staging entirely: the legacy synchronous
-/// path, byte-for-byte.
-///
-/// Determinism: issuance is pure lookahead.  Charges happen only when the
-/// consuming fetcher asks for a block (same order, same dedup as the
-/// synchronous path), and Finish() drops unconsumed copies without a
-/// trace in the accounting, so StageStats are bitwise-identical for every
-/// depth.  Destruction cancels queued copies and drains running ones —
-/// an attempt killed by the fault injector with transfers in flight
-/// replays cleanly from a fresh pipeline.
-class FetchPipeline {
- public:
-  FetchPipeline(StageContext* ctx, const FusedInputs* inputs,
-                TaskFetcher* fetcher, const KernelEvaluator* eval,
-                std::vector<NodeId> roots, const std::vector<Coord>* coords,
-                int depth, StagePipeline* pipe)
-      : fetcher_(fetcher),
-        eval_(eval),
-        roots_(std::move(roots)),
-        coords_(coords),
-        depth_(depth),
-        pipe_(pipe),
-        wait_base_(pipe->fetch_wait_seconds),
-        begin_(std::chrono::steady_clock::now()) {
-    if (depth_ > 0 && !coords_->empty()) {
-      BlockPrefetcher::Options options;
-      options.pool = GlobalThreadPool();
-      options.metrics = ctx->metrics();
-      options.journal = ctx->journal();
-      options.copy_hook = MakeCopyHook(ctx->tracer(), ctx->label());
-      prefetcher_.emplace(
-          MakeSource(inputs, fetcher_->pace_seconds_per_byte()),
-          std::move(options));
-      fetcher_->set_prefetcher(&*prefetcher_);
-    }
-  }
-
-  ~FetchPipeline() {
-    if (!finished_) Finish();
-  }
-
-  FetchPipeline(const FetchPipeline&) = delete;
-  FetchPipeline& operator=(const FetchPipeline&) = delete;
-
-  /// Call right before evaluating coords[idx]: tops the pipeline up so
-  /// waves idx..idx+depth are staged.
-  void BeforeBlock(std::size_t idx) {
-    if (!prefetcher_) return;
-    const std::size_t limit =
-        std::min(coords_->size(), idx + 1 + static_cast<std::size_t>(depth_));
-    while (next_wave_ < limit) IssueWave(next_wave_++);
-  }
-
-  /// Tears the pipeline down and folds its telemetry into the item's
-  /// StagePipeline: prefetch counters, fetch-wait seconds, and the
-  /// remaining loop time as compute-busy seconds.
-  void Finish() {
-    finished_ = true;
-    const double loop_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      begin_)
-            .count();
-    if (prefetcher_) {
-      fetcher_->set_prefetcher(nullptr);
-      prefetcher_->Drain();
-      const PrefetchCounters c = prefetcher_->counters();
-      pipe_->prefetch_issued += c.issued;
-      pipe_->prefetch_ready += c.ready;
-      pipe_->prefetch_waited += c.waited;
-      pipe_->prefetch_stolen += c.stolen;
-      pipe_->prefetch_cancelled += c.cancelled;
-      pipe_->fetch_wait_seconds += c.fetch_wait_seconds;
-      prefetcher_.reset();
-    }
-    const double waits = pipe_->fetch_wait_seconds - wait_base_;
-    pipe_->compute_busy_seconds += std::max(0.0, loop_seconds - waits);
-  }
-
- private:
-  void IssueWave(std::size_t wave) {
-    const auto [bi, bj] = (*coords_)[wave];
-    targets_.clear();
-    for (NodeId root : roots_) {
-      eval_->EnumerateFetches(root, bi, bj, &seen_, &targets_);
-    }
-    for (const KernelEvaluator::FetchTarget& t : targets_) {
-      prefetcher_->Prefetch(PrefetchKey{t.node, t.bi, t.bj});
-    }
-  }
-
-  TaskFetcher* fetcher_;
-  const KernelEvaluator* eval_;
-  std::vector<NodeId> roots_;
-  const std::vector<Coord>* coords_;
-  int depth_;
-  StagePipeline* pipe_;
-  std::optional<BlockPrefetcher> prefetcher_;
-  std::set<KernelEvaluator::Key> seen_;
-  std::vector<KernelEvaluator::FetchTarget> targets_;
-  std::size_t next_wave_ = 0;
-  double wait_base_;
-  std::chrono::steady_clock::time_point begin_;
-  bool finished_ = false;
 };
 
 /// Where a partial aggregate of input block (bi, bj) lands in the output
@@ -780,12 +573,6 @@ Result<DistributedMatrix> CuboidFusedOperator::Execute(
 
   const bool real_inputs = AllInputsReal(inputs);
   const int threads = real_inputs ? ctx->Parallelism() : 1;
-  // Meta-block stages skip the prefetch pipeline and transfer pacing:
-  // their copies are descriptor-sized and the simulator models their
-  // transfer time analytically.
-  const int depth = real_inputs ? ctx->config().prefetch_depth : 0;
-  const double pace =
-      real_inputs ? ctx->config().emulated_shuffle_seconds_per_byte : 0.0;
   const StageInstruments ins = StageInstruments::Resolve(ctx->metrics());
   SparseKernelFlushGuard sparse_guard(ins);
 
@@ -809,35 +596,21 @@ Result<DistributedMatrix> CuboidFusedOperator::Execute(
       ScopedSpan span(ctx->tracer(), "cell task " + std::to_string(t),
                       "work-item");
       span.AddArg("stage", ctx->label());
-      StagePipeline pipe;
-      TaskFetcher fetcher(&inputs, local, &pipe, pace);
-      Status run = [&]() -> Status {
-        std::vector<Coord> coords;
-        for (std::int64_t bi = 0; bi < gr; ++bi) {
-          for (std::int64_t bj = 0; bj < gc; ++bj) {
-            if ((bi * gc + bj) % num_tasks == t) coords.emplace_back(bi, bj);
-          }
-        }
-        if (coords.empty()) return Status::OK();
-        KernelEvaluator eval(&plan, bs, fetcher.For(item.task));
-        FetchPipeline pipeline(ctx, &inputs, &fetcher, &eval,
-                               {plan.root()}, &coords, depth, &pipe);
-        for (std::size_t idx = 0; idx < coords.size(); ++idx) {
-          pipeline.BeforeBlock(idx);
-          const auto [bi, bj] = coords[idx];
-          const std::int64_t before = eval.flops();
-          FUSEME_ASSIGN_OR_RETURN(Block result,
-                                  eval.Eval(plan.root(), bi, bj));
-          local->ChargeFlops(item.task, eval.flops() - before);
-          ins.CountOutput(result);
-          item.outputs.push_back({bi, bj, std::move(result)});
-        }
-        pipeline.Finish();
-        ins.FlushEvaluator(eval);
-        return Status::OK();
-      }();
-      ctx->RecordItemPipeline(pipe);
-      return run;
+      if (t >= gr * gc) return Status::OK();  // no block of this task
+      TaskFetcher fetcher(&inputs, local);
+      KernelEvaluator eval(&plan, bs, fetcher.For(item.task));
+      // This task's round-robin share, in the serial (bi, bj) scan order.
+      for (std::int64_t cell = t; cell < gr * gc; cell += num_tasks) {
+        const std::int64_t bi = cell / gc;
+        const std::int64_t bj = cell % gc;
+        const std::int64_t before = eval.flops();
+        FUSEME_ASSIGN_OR_RETURN(Block result, eval.Eval(plan.root(), bi, bj));
+        local->ChargeFlops(item.task, eval.flops() - before);
+        ins.CountOutput(result);
+        item.outputs.push_back({bi, bj, std::move(result)});
+      }
+      ins.FlushEvaluator(eval);
+      return Status::OK();
     });
     FUSEME_RETURN_IF_ERROR(CommitRoundRobin(gr, gc, &items, agg_root,
                                             &agg_merger, &out_blocks, ctx));
@@ -875,131 +648,108 @@ Result<DistributedMatrix> CuboidFusedOperator::Execute(
                     "work-item");
     span.AddArg("stage", ctx->label());
     LocalStageAccounting& local = *local_ptr;
-    StagePipeline pipe;
-    TaskFetcher fetcher(&inputs, &local, &pipe, pace);
-    Status run = [&, p = p, q = q]() -> Status {
-      const auto [i0, i1] = i_parts[p];
-      const auto [j0, j1] = j_parts[q];
-      // The column's output blocks in evaluation order — each phase's
-      // fetch pipeline stages the blocks of upcoming coords while the
-      // current one computes.
-      std::vector<Coord> coords;
-      coords.reserve(static_cast<std::size_t>((i1 - i0) * (j1 - j0)));
-      for (std::int64_t bi = i0; bi < i1; ++bi) {
-        for (std::int64_t bj = j0; bj < j1; ++bj) {
-          coords.emplace_back(bi, bj);
-        }
+    TaskFetcher fetcher(&inputs, &local);
+    const auto [i0, i1] = i_parts[p];
+    const auto [j0, j1] = j_parts[q];
+    // The column's output blocks in evaluation order.
+    std::vector<Coord> coords;
+    coords.reserve(static_cast<std::size_t>((i1 - i0) * (j1 - j0)));
+    for (std::int64_t bi = i0; bi < i1; ++bi) {
+      for (std::int64_t bj = j0; bj < j1; ++bj) {
+        coords.emplace_back(bi, bj);
       }
+    }
 
-      // --- Phase 1 (R > 1 only): per-k-slice partial matmuls. ---
-      // The k-slices run in W-sized *groups* (Cuboid::W; 1 = the plain
-      // layout).  A group is one leader task that evaluates its slices
-      // sequentially: every slice fetches through the leader (TaskFetcher
-      // dedups per task, so the sparse mask is charged once per group, not
-      // once per slice) and the group's partials merge locally before
-      // crossing into the column-wide map — only one aggregation transfer
-      // per group.  Slices and groups proceed r-ascending and both merge
-      // levels sum in first-seen order, so the result is bitwise-identical
-      // to W = 1 and to any serial execution.
-      std::map<Coord, Block> mm_partials;
-      if (eff_r > 1) {
-        ScopedSpan phase1(ctx->tracer(),
-                          "phase1 partial-mm (" + std::to_string(p) + "," +
-                              std::to_string(q) + ")",
-                          "phase");
-        for (std::int64_t g0 = 0; g0 < eff_r; g0 += eff_w) {
-          const std::int64_t g1 = std::min(eff_r, g0 + eff_w);
-          const int leader = task_id(p, q, g0);
-          std::map<Coord, Block> group_partials;
-          for (std::int64_t r = g0; r < g1; ++r) {
-            const auto [k0, k1] = k_parts[r];
-            if (k0 == k1) continue;
-            KernelEvaluator eval(&plan, bs, fetcher.For(leader));
-            eval.RestrictK(mm, k0, k1);
-            if (driver.found()) eval.SetSparseDriver(driver);
-            std::vector<NodeId> roots{mm};
-            if (driver.found()) {
-              roots.insert(roots.begin(), driver.sparse_input);
-            }
-            FetchPipeline pipeline(ctx, &inputs, &fetcher, &eval,
-                                   std::move(roots), &coords, depth, &pipe);
-            for (std::size_t idx = 0; idx < coords.size(); ++idx) {
-              pipeline.BeforeBlock(idx);
-              const auto [bi, bj] = coords[idx];
-              Result<Block> partial =
-                  driver.found()
-                      ? eval.EvalMaskedNode(mm, driver.sparse_input, bi, bj)
-                      : eval.Eval(mm, bi, bj);
-              FUSEME_RETURN_IF_ERROR(partial.status());
-              auto it = group_partials.find({bi, bj});
-              if (it == group_partials.end()) {
-                group_partials.emplace(Coord{bi, bj}, std::move(*partial));
-              } else {
-                FUSEME_ASSIGN_OR_RETURN(
-                    it->second,
-                    MergeAgg(AggFn::kSum, it->second, *partial, nullptr));
-              }
-            }
-            pipeline.Finish();
-            local.ChargeFlops(leader, eval.flops());
-            ins.FlushEvaluator(eval);
-          }
-          // Commit the group's merged partials.  std::map iterates in the
-          // same (bi, bj) order the coords were evaluated in, so the
-          // column-wide merge keeps the per-coordinate r-ascending
-          // summation order.
-          for (auto& [coord, block] : group_partials) {
-            if (leader != task_id(p, q, 0)) {
-              // Shuffle to the r=0 task in the aggregation step.
-              local.ChargeAggregation(leader, block.SizeBytes());
-            }
-            auto it = mm_partials.find(coord);
-            if (it == mm_partials.end()) {
-              FUSEME_RETURN_IF_ERROR(local.ChargeMemory(
-                  task_id(p, q, 0), block.SizeBytes()));
-              mm_partials.emplace(coord, std::move(block));
+    // --- Phase 1 (R > 1 only): per-k-slice partial matmuls. ---
+    // The k-slices run in W-sized *groups* (Cuboid::W; 1 = the plain
+    // layout).  A group is one leader task that evaluates its slices
+    // sequentially: every slice fetches through the leader (TaskFetcher
+    // dedups per task, so the sparse mask is charged once per group, not
+    // once per slice) and the group's partials merge locally before
+    // crossing into the column-wide map — only one aggregation transfer
+    // per group.  Slices and groups proceed r-ascending and both merge
+    // levels sum in first-seen order, so the result is bitwise-identical
+    // to W = 1 and to any serial execution.
+    std::map<Coord, Block> mm_partials;
+    if (eff_r > 1) {
+      ScopedSpan phase1(ctx->tracer(),
+                        "phase1 partial-mm (" + std::to_string(p) + "," +
+                            std::to_string(q) + ")",
+                        "phase");
+      for (std::int64_t g0 = 0; g0 < eff_r; g0 += eff_w) {
+        const std::int64_t g1 = std::min(eff_r, g0 + eff_w);
+        const int leader = task_id(p, q, g0);
+        std::map<Coord, Block> group_partials;
+        for (std::int64_t r = g0; r < g1; ++r) {
+          const auto [k0, k1] = k_parts[r];
+          if (k0 == k1) continue;
+          KernelEvaluator eval(&plan, bs, fetcher.For(leader));
+          eval.RestrictK(mm, k0, k1);
+          if (driver.found()) eval.SetSparseDriver(driver);
+          for (const auto& [bi, bj] : coords) {
+            Result<Block> partial =
+                driver.found()
+                    ? eval.EvalMaskedNode(mm, driver.sparse_input, bi, bj)
+                    : eval.Eval(mm, bi, bj);
+            FUSEME_RETURN_IF_ERROR(partial.status());
+            auto it = group_partials.find({bi, bj});
+            if (it == group_partials.end()) {
+              group_partials.emplace(Coord{bi, bj}, std::move(*partial));
             } else {
               FUSEME_ASSIGN_OR_RETURN(
                   it->second,
-                  MergeAgg(AggFn::kSum, it->second, block, nullptr));
+                  MergeAgg(AggFn::kSum, it->second, *partial, nullptr));
             }
+          }
+          local.ChargeFlops(leader, eval.flops());
+          ins.FlushEvaluator(eval);
+        }
+        // Commit the group's merged partials.  std::map iterates in the
+        // same (bi, bj) order the coords were evaluated in, so the
+        // column-wide merge keeps the per-coordinate r-ascending
+        // summation order.
+        for (auto& [coord, block] : group_partials) {
+          if (leader != task_id(p, q, 0)) {
+            // Shuffle to the r=0 task in the aggregation step.
+            local.ChargeAggregation(leader, block.SizeBytes());
+          }
+          auto it = mm_partials.find(coord);
+          if (it == mm_partials.end()) {
+            FUSEME_RETURN_IF_ERROR(local.ChargeMemory(
+                task_id(p, q, 0), block.SizeBytes()));
+            mm_partials.emplace(coord, std::move(block));
+          } else {
+            FUSEME_ASSIGN_OR_RETURN(
+                it->second,
+                MergeAgg(AggFn::kSum, it->second, block, nullptr));
           }
         }
       }
+    }
 
-      // --- Phase 2 (or the only phase when R == 1): evaluate the root. ---
-      ScopedSpan phase2(ctx->tracer(),
-                        "phase2 root-eval (" + std::to_string(p) + "," +
-                            std::to_string(q) + ")",
-                        "phase");
-      KernelEvaluator eval(&plan, bs, fetcher.For(item.task));
-      if (driver.found()) eval.SetSparseDriver(driver);
-      if (eff_r > 1) {
-        for (auto& [coord, block] : mm_partials) {
-          eval.Inject(mm, coord.first, coord.second, std::move(block));
-        }
-      } else {
-        eval.RestrictK(mm, 0, k_blocks);
+    // --- Phase 2 (or the only phase when R == 1): evaluate the root. ---
+    ScopedSpan phase2(ctx->tracer(),
+                      "phase2 root-eval (" + std::to_string(p) + "," +
+                          std::to_string(q) + ")",
+                      "phase");
+    KernelEvaluator eval(&plan, bs, fetcher.For(item.task));
+    if (driver.found()) eval.SetSparseDriver(driver);
+    if (eff_r > 1) {
+      for (auto& [coord, block] : mm_partials) {
+        eval.Inject(mm, coord.first, coord.second, std::move(block));
       }
-      // Injection precedes pipeline construction, so enumeration sees the
-      // bound partials and never re-stages the matmul's inputs.
-      FetchPipeline pipeline(ctx, &inputs, &fetcher, &eval, {plan.root()},
-                             &coords, depth, &pipe);
-      for (std::size_t idx = 0; idx < coords.size(); ++idx) {
-        pipeline.BeforeBlock(idx);
-        const auto [bi, bj] = coords[idx];
-        FUSEME_ASSIGN_OR_RETURN(Block result,
-                                eval.Eval(plan.root(), bi, bj));
-        ins.CountOutput(result);
-        item.outputs.push_back({bi, bj, std::move(result)});
-      }
-      pipeline.Finish();
-      local.ChargeFlops(item.task, eval.flops());
-      ins.FlushEvaluator(eval);
-      return Status::OK();
-    }();
-    ctx->RecordItemPipeline(pipe);
-    return run;
+    } else {
+      eval.RestrictK(mm, 0, k_blocks);
+    }
+    for (const auto& [bi, bj] : coords) {
+      FUSEME_ASSIGN_OR_RETURN(Block result,
+                              eval.Eval(plan.root(), bi, bj));
+      ins.CountOutput(result);
+      item.outputs.push_back({bi, bj, std::move(result)});
+    }
+    local.ChargeFlops(item.task, eval.flops());
+    ins.FlushEvaluator(eval);
+    return Status::OK();
   });
 
   // Sequential commit in the serial (p, q, bi, bj) order.
@@ -1075,9 +825,6 @@ Result<DistributedMatrix> BroadcastFusedOperator::Execute(
 
   const bool real_inputs = AllInputsReal(inputs);
   const int threads = real_inputs ? ctx->Parallelism() : 1;
-  const int depth = real_inputs ? ctx->config().prefetch_depth : 0;
-  const double pace =
-      real_inputs ? ctx->config().emulated_shuffle_seconds_per_byte : 0.0;
   const StageInstruments ins = StageInstruments::Resolve(ctx->metrics());
   SparseKernelFlushGuard sparse_guard(ins);
 
@@ -1092,48 +839,34 @@ Result<DistributedMatrix> BroadcastFusedOperator::Execute(
     ScopedSpan span(ctx->tracer(), "broadcast task " + std::to_string(t),
                     "work-item");
     span.AddArg("stage", ctx->label());
-    StagePipeline pipe;
-    TaskFetcher fetcher(&inputs, local, &pipe, pace);
-    Status run = [&]() -> Status {
-      // Broadcast: this task receives every block of every side input.
-      for (NodeId ext : plan.ExternalInputs()) {
-        if (!dag.node(ext).is_matrix() || ext == main_input) continue;
-        const BlockedMatrix& side = inputs.at(ext)->blocks();
-        for (std::int64_t bi = 0; bi < side.grid_rows(); ++bi) {
-          for (std::int64_t bj = 0; bj < side.grid_cols(); ++bj) {
-            const std::int64_t bytes = side.block(bi, bj).SizeBytes();
-            local->ChargeConsolidation(item.task, bytes);
-            FUSEME_RETURN_IF_ERROR(local->ChargeMemory(item.task, bytes));
-            fetcher.MarkResident(item.task, ext, bi, bj);
-          }
+    TaskFetcher fetcher(&inputs, local);
+    // Broadcast: this task receives every block of every side input.
+    for (NodeId ext : plan.ExternalInputs()) {
+      if (!dag.node(ext).is_matrix() || ext == main_input) continue;
+      const BlockedMatrix& side = inputs.at(ext)->blocks();
+      for (std::int64_t bi = 0; bi < side.grid_rows(); ++bi) {
+        for (std::int64_t bj = 0; bj < side.grid_cols(); ++bj) {
+          const std::int64_t bytes = side.block(bi, bj).SizeBytes();
+          local->ChargeConsolidation(item.task, bytes);
+          FUSEME_RETURN_IF_ERROR(local->ChargeMemory(item.task, bytes));
+          fetcher.MarkResident(item.task, ext, bi, bj);
         }
       }
-      std::vector<Coord> coords;
-      for (std::int64_t bi = 0; bi < gr; ++bi) {
-        for (std::int64_t bj = 0; bj < gc; ++bj) {
-          if ((bi * gc + bj) % num_tasks == t) coords.emplace_back(bi, bj);
-        }
-      }
-      KernelEvaluator eval(&plan, bs, fetcher.For(item.task));
-      if (driver.found()) eval.SetSparseDriver(driver);
-      FetchPipeline pipeline(ctx, &inputs, &fetcher, &eval, {plan.root()},
-                             &coords, depth, &pipe);
-      for (std::size_t idx = 0; idx < coords.size(); ++idx) {
-        pipeline.BeforeBlock(idx);
-        const auto [bi, bj] = coords[idx];
-        const std::int64_t before = eval.flops();
-        FUSEME_ASSIGN_OR_RETURN(Block result,
-                                eval.Eval(plan.root(), bi, bj));
-        local->ChargeFlops(item.task, eval.flops() - before);
-        ins.CountOutput(result);
-        item.outputs.push_back({bi, bj, std::move(result)});
-      }
-      pipeline.Finish();
-      ins.FlushEvaluator(eval);
-      return Status::OK();
-    }();
-    ctx->RecordItemPipeline(pipe);
-    return run;
+    }
+    KernelEvaluator eval(&plan, bs, fetcher.For(item.task));
+    if (driver.found()) eval.SetSparseDriver(driver);
+    // This task's round-robin share, in the serial (bi, bj) scan order.
+    for (std::int64_t cell = t; cell < gr * gc; cell += num_tasks) {
+      const std::int64_t bi = cell / gc;
+      const std::int64_t bj = cell % gc;
+      const std::int64_t before = eval.flops();
+      FUSEME_ASSIGN_OR_RETURN(Block result, eval.Eval(plan.root(), bi, bj));
+      local->ChargeFlops(item.task, eval.flops() - before);
+      ins.CountOutput(result);
+      item.outputs.push_back({bi, bj, std::move(result)});
+    }
+    ins.FlushEvaluator(eval);
+    return Status::OK();
   });
 
   FUSEME_RETURN_IF_ERROR(CommitRoundRobin(gr, gc, &items, agg_root,

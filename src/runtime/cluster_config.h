@@ -37,22 +37,9 @@ struct ClusterConfig {
   /// Comm/compute overlap factor f of the simulator's per-wave time model:
   /// wave = max(comm, comp) + (1 - f) * min(comm, comp).  1.0 (default)
   /// keeps the paper's ideal-overlap max() model; 0.0 models a fully
-  /// serialized fetch-then-compute stage (the prefetch_depth = 0 real-mode
-  /// path).  A modeling knob only — it never changes computed results.
+  /// serialized fetch-then-compute stage.  A modeling knob only — it never
+  /// changes computed results (DESIGN.md section 14).
   double overlap_factor = 1.0;
-  /// Fetch-pipeline depth of the real-mode operators: how many output
-  /// blocks ahead of the consumer their input-block copies are staged on
-  /// the thread pool (0 = synchronous legacy fetch-then-compute, 1 =
-  /// classic double buffering).  Results and StageStats are bitwise
-  /// identical for every depth — see DESIGN.md section 14.
-  int prefetch_depth = 2;
-  /// Emulated transfer pacing for real-mode block fetches, in seconds per
-  /// byte (0 = off, the default).  When set, every block copy — staged or
-  /// direct — sleeps bytes * this before returning, standing in for the
-  /// network transfer an in-process run doesn't perform; benchmarks use it
-  /// to measure compute/transfer overlap honestly.  Wall-clock only:
-  /// results, StageStats, and the simulator's modeled time are unaffected.
-  double emulated_shuffle_seconds_per_byte = 0.0;
   /// Local execution parallelism of the real-mode physical operators:
   /// total number of threads, calling thread included.  0 = the process
   /// default (FUSEME_THREADS env or hardware_concurrency); 1 = serial.

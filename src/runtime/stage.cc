@@ -102,23 +102,6 @@ StageRecovery StageContext::recovery() const {
   return recovery_;
 }
 
-void StageContext::RecordItemPipeline(const StagePipeline& item) {
-  MutexLock lock(merge_mu_);
-  pipeline_.prefetch_issued += item.prefetch_issued;
-  pipeline_.prefetch_ready += item.prefetch_ready;
-  pipeline_.prefetch_waited += item.prefetch_waited;
-  pipeline_.prefetch_stolen += item.prefetch_stolen;
-  pipeline_.prefetch_cancelled += item.prefetch_cancelled;
-  pipeline_.prefetch_misses += item.prefetch_misses;
-  pipeline_.fetch_wait_seconds += item.fetch_wait_seconds;
-  pipeline_.compute_busy_seconds += item.compute_busy_seconds;
-}
-
-StagePipeline StageContext::pipeline() const {
-  MutexLock lock(merge_mu_);
-  return pipeline_;
-}
-
 int StageContext::Parallelism() const {
   return config_.local_threads > 0 ? config_.local_threads
                                    : GlobalParallelism();

@@ -29,7 +29,6 @@ namespace fuseme {
 
 class Tracer;           // telemetry/tracer.h; carried as an opaque pointer here
 class MetricsRegistry;  // telemetry/metrics.h; same opaque-pointer convention
-class EventJournal;     // telemetry/event_journal.h; same convention
 
 /// Accumulators for one logical task within a stage.
 struct TaskAccounting {
@@ -54,43 +53,11 @@ struct StageStats {
   /// nonzero value for every stage that launched tasks.  Always modeled
   /// time from the deterministic accounting above, never host wall clock
   /// (wall time lives in StageTelemetry), so it is bitwise-identical
-  /// across thread counts and prefetch depths.
+  /// across thread counts.
   double elapsed_seconds = 0.0;
 
   std::int64_t total_bytes() const {
     return consolidation_bytes + aggregation_bytes;
-  }
-};
-
-/// Wall-clock transfer/compute telemetry of one stage's fetch pipeline
-/// (DESIGN.md section 14).  Host measurements — nondeterministic by
-/// nature — so they live beside StageStats, never inside it: StageStats
-/// must stay bitwise-identical across thread counts and prefetch depths.
-struct StagePipeline {
-  /// Block copies staged ahead of the consumer by prefetchers.
-  std::int64_t prefetch_issued = 0;
-  /// Staged copies consumed with the transfer already complete.
-  std::int64_t prefetch_ready = 0;
-  /// Staged copies the consumer stalled on (transfer still in flight).
-  std::int64_t prefetch_waited = 0;
-  /// Staged copies the consumer ran inline (pool had not started them).
-  std::int64_t prefetch_stolen = 0;
-  /// Staged copies dropped unconsumed (cancellation / retry replay).
-  std::int64_t prefetch_cancelled = 0;
-  /// Blocks fetched directly while a pipeline was active (enumeration
-  /// missed them); always 0 when prefetch_depth = 0 disables pipelines.
-  std::int64_t prefetch_misses = 0;
-  /// Consumer-thread seconds spent acquiring input blocks: direct copies,
-  /// stalls on in-flight transfers, and inline steals.
-  double fetch_wait_seconds = 0.0;
-  /// Consumer-thread seconds spent computing between fetches.
-  double compute_busy_seconds = 0.0;
-
-  /// compute/(compute + fetch-wait) in [0, 1]; 1.0 when idle (nothing
-  /// measured) or when every transfer hid behind compute.
-  double OverlapEfficiency() const {
-    const double total = fetch_wait_seconds + compute_busy_seconds;
-    return total > 0.0 ? compute_busy_seconds / total : 1.0;
   }
 };
 
@@ -121,8 +88,8 @@ class StageAccounting {
 /// paper's failed BFO/RFO runs.
 ///
 /// Every accounting method takes the context mutex, so the context is
-/// thread-safe as a whole — the accumulators (tasks_, recovery_,
-/// pipeline_) are GUARDED_BY(merge_mu_) and the Clang thread-safety
+/// thread-safe as a whole — the accumulators (tasks_, recovery_) are
+/// GUARDED_BY(merge_mu_) and the Clang thread-safety
 /// analysis proves no path touches them unlocked.  Concurrent work items
 /// still charge a LocalStageAccounting and fold it in via MergeTask:
 /// that keeps the hot per-block charges task-local (no contention) and
@@ -146,13 +113,6 @@ class StageContext : public StageAccounting {
   void set_metrics(MetricsRegistry* metrics) { metrics_ = metrics; }
   MetricsRegistry* metrics() const { return metrics_; }
 
-  /// Optional flight-recorder sink for this stage's rare events
-  /// (prefetch stalls); null disables emission.  Not owned.  The
-  /// ordered-commit path never emits — journal writes stay off the
-  /// determinism-critical locks (DESIGN.md section 17).
-  void set_journal(EventJournal* journal) { journal_ = journal; }
-  EventJournal* journal() const { return journal_; }
-
   /// Wires fault injection and the retry budget for this stage's work
   /// items (DESIGN.md section 13).  `injector` may be null (no injection;
   /// the retry loop then never fires) and is not owned; `stage_ordinal`
@@ -174,13 +134,6 @@ class StageContext : public StageAccounting {
 
   /// Snapshot of the stage's recovery accounting.
   StageRecovery recovery() const;
-
-  /// Folds one work item's fetch-pipeline telemetry into the stage record
-  /// under the context mutex (safe from concurrent work items).
-  void RecordItemPipeline(const StagePipeline& item);
-
-  /// Snapshot of the stage's fetch-pipeline telemetry.
-  StagePipeline pipeline() const;
 
   void ChargeConsolidation(int task, std::int64_t bytes) override;
   void ChargeAggregation(int task, std::int64_t bytes) override;
@@ -215,14 +168,12 @@ class StageContext : public StageAccounting {
   ClusterConfig config_;
   Tracer* tracer_ = nullptr;
   MetricsRegistry* metrics_ = nullptr;
-  EventJournal* journal_ = nullptr;
   const FaultInjector* injector_ = nullptr;
   int stage_ordinal_ = 0;
   RetryPolicy retry_{.max_attempts = 1};
   mutable Mutex merge_mu_;
   std::vector<TaskAccounting> tasks_ GUARDED_BY(merge_mu_);
   StageRecovery recovery_ GUARDED_BY(merge_mu_);
-  StagePipeline pipeline_ GUARDED_BY(merge_mu_);
 };
 
 /// Task-local accounting for one work item of a parallel operator.  Not

@@ -70,8 +70,13 @@ void EventJournal::Emit(
   const std::size_t slot = static_cast<std::size_t>(
       (event.seq / kShards) % shard_capacity_);
   MutexLock lock(shard.mu);
-  shard.ring[slot] = std::move(event);
   ++shard.appended;
+  // An emitter preempted between claiming its sequence and taking the
+  // lock can arrive after a newer event already took the same slot; the
+  // late, older event is the one the ring has overwritten, so drop it.
+  JournalEvent& held = shard.ring[slot];
+  if (!held.id.empty() && held.seq > event.seq) return;
+  held = std::move(event);
 }
 
 std::vector<JournalEvent> EventJournal::Snapshot() const {

@@ -11,7 +11,10 @@
 // consumer or on space — the journal is sharded over kShards
 // independently-locked rings keyed round-robin by sequence number, an
 // append holds exactly one shard mutex for an O(1) slot write, and a
-// full ring overwrites its oldest entry instead of waiting.  Snapshot /
+// full ring overwrites its oldest entry instead of waiting (an emitter
+// that reaches its slot after a newer event took it is the overwritten
+// one, so once emitters quiesce the ring holds exactly the newest
+// `capacity` sequences).  Snapshot /
 // DumpJson lock the shards one at a time and sort by sequence, so
 // readers (the /flightz endpoint, the crash hook) run concurrently with
 // emitters.  Like Tracer*/MetricsRegistry*, every integration point

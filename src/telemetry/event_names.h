@@ -58,11 +58,6 @@ inline constexpr char kStageDegraded[] = "fuseme.fault.degradation";
 /// payload: stage, copies.
 inline constexpr char kSpeculation[] = "fuseme.fault.speculation";
 
-// --- Prefetch pipeline ---
-/// A consumer stalled on an in-flight staged copy (the "waited"
-/// outcome); payload: node, bi, bj, wait_seconds.
-inline constexpr char kPrefetchStall[] = "fuseme.prefetch.stall";
-
 }  // namespace fuseme::event_names
 
 #endif  // FUSEME_TELEMETRY_EVENT_NAMES_H_

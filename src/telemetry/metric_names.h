@@ -128,39 +128,6 @@ inline constexpr char kKernelOutputNnz[] = "fuseme_kernel_output_nnz_total";
 inline constexpr char kKernelOutputCells[] =
     "fuseme_kernel_output_cells_total";
 
-// --- Prefetch pipeline (DESIGN.md section 14) ---
-/// Block copies staged by the prefetch pipeline.
-inline constexpr char kPrefetchIssued[] =
-    "fuseme_prefetch_blocks_issued_total";
-/// Staged copies consumed, labeled {outcome="ready|waited|stolen"}:
-/// ready = transfer done before the consumer asked (full overlap),
-/// waited = consumer stalled on an in-flight transfer, stolen = consumer
-/// ran a still-queued copy inline (saturated pool).
-inline constexpr char kPrefetchConsumed[] =
-    "fuseme_prefetch_blocks_consumed_total";
-/// Staged copies dropped unconsumed (cancellation, retry, over-prefetch).
-inline constexpr char kPrefetchCancelled[] =
-    "fuseme_prefetch_blocks_cancelled_total";
-/// Staged-but-unconsumed entries of the issuing prefetcher (gauge; peak =
-/// deepest pipeline seen).
-inline constexpr char kPrefetchInFlight[] =
-    "fuseme_prefetch_in_flight_blocks";
-/// Histogram of consumer seconds per non-ready staged block (stall waits
-/// and inline steals).
-inline constexpr char kPrefetchWaitSeconds[] =
-    "fuseme_prefetch_fetch_wait_seconds";
-/// Cumulative consumer-thread seconds spent acquiring input blocks
-/// (gauge, summed across stages; wall clock, not modeled time).
-inline constexpr char kFetchWaitSeconds[] = "fuseme_fetch_wait_seconds";
-/// Cumulative consumer-thread seconds spent in kernel compute between
-/// fetches (gauge, summed across stages).
-inline constexpr char kComputeBusySeconds[] =
-    "fuseme_compute_busy_seconds";
-/// Per-stage overlap efficiency compute/(compute + fetch-wait) in [0, 1]
-/// (gauge; 1.0 = transfers fully hidden behind compute).
-inline constexpr char kStageOverlapEfficiency[] =
-    "fuseme_stage_overlap_efficiency";
-
 // --- Fault tolerance (DESIGN.md section 13) ---
 /// Injected faults absorbed, labeled
 /// {kind="lost_at_launch|lost_before_commit|oom|straggler"}.

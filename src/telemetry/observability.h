@@ -3,11 +3,10 @@
 // section 17).
 //
 // EngineOptions carries an ObservabilityOptions; Engine::Create calls
-// ObservabilityPlane::Start with it, and the engine threads the plane's
-// journal through the stage/operator/prefetch layers the same way it
-// threads Tracer*/MetricsRegistry*.  Everything defaults to off — a run
-// with the default options builds no plane, takes no new locks, and is
-// bitwise-identical to a run before this subsystem existed.
+// ObservabilityPlane::Start with it, and the engine emits into the
+// plane's journal from its driver thread.  Everything defaults to off —
+// a run with the default options builds no plane, takes no new locks,
+// and is bitwise-identical to a run before this subsystem existed.
 
 #ifndef FUSEME_TELEMETRY_OBSERVABILITY_H_
 #define FUSEME_TELEMETRY_OBSERVABILITY_H_

@@ -47,10 +47,6 @@ struct StageTelemetry {
   /// faults, degradation rungs, stragglers (runtime/fault_injector.h).
   /// All-zero on clean runs.
   StageRecovery recovery;
-  /// Host wall-clock prefetch telemetry (fetch-wait vs compute-busy,
-  /// staged-copy outcomes).  All-zero on analytic runs and at
-  /// prefetch_depth 0 with no fetches timed.
-  StagePipeline pipeline;
 };
 
 /// Per-dimension prediction error of one stage, as actual/predicted

@@ -1,8 +1,10 @@
 #include "telemetry/tracer.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/json_util.h"
@@ -190,6 +192,16 @@ Result<TraceSpan> ReadEvent(JsonReader* r, std::string* phase) {
       }
     } while (r->TryConsume(','));
     FUSEME_RETURN_IF_ERROR(r->Expect('}'));
+  }
+  // Bound the doubles before the integer casts below, which are undefined
+  // out of range.  2^53 us is centuries; no tracer writes more.
+  constexpr double kMaxMicros = 9007199254740992.0;
+  if (!(std::fabs(ts) <= kMaxMicros && std::fabs(dur) <= kMaxMicros)) {
+    return r->Error("timestamp out of range");
+  }
+  if (!(tid >= std::numeric_limits<int>::min() &&
+        tid <= std::numeric_limits<int>::max())) {
+    return r->Error("tid out of range");
   }
   span.begin_us = static_cast<std::int64_t>(ts);
   span.end_us = static_cast<std::int64_t>(ts + dur);

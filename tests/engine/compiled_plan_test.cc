@@ -1,8 +1,8 @@
 // CompiledPlan (DESIGN.md section 18): compile-once/execute-many replays
 // must be bitwise identical to the legacy single-shot Run across dense,
 // sparse, and fault-injected schedules; the JSON artifact round-trips;
-// and CheckCompatible rejects mismatched shapes, sparsity classes, and
-// clusters with precise messages before any stage runs.
+// and CheckCompatible rejects mismatched shapes, block sizes, sparsity
+// classes, and clusters with precise messages before any stage runs.
 
 #include "engine/compiled_plan.h"
 
@@ -37,8 +37,7 @@ EngineOptions Options(SystemMode mode = SystemMode::kFuseMe) {
 }
 
 /// Bitwise comparison: outputs, per-stage accounting, and the recovery
-/// trace — the same bar the determinism suites hold parallel and
-/// prefetched runs to.
+/// trace — the same bar the determinism suites hold parallel runs to.
 void ExpectIdenticalRuns(const Engine::RunResult& base,
                          const Engine::RunResult& other) {
   ASSERT_TRUE(base.report.ok()) << base.report.status;
@@ -242,6 +241,59 @@ TEST(CompiledPlanTest, JsonRoundTripExecutesIdentically) {
     EXPECT_EQ(restored->stages()[i].kind, compiled->stages()[i].kind);
   }
   ExpectIdenticalRuns(base, engine.Execute(*restored, f.inputs));
+}
+
+TEST(CompiledPlanTest, FromJsonAcceptsRetiredClusterKeys) {
+  // Artifacts written before the in-process prefetch knobs were retired
+  // still carry them in "cluster"; the reader must skip them and the
+  // restored plan must execute exactly like the original.
+  GnmfFixture f;
+  Engine engine(Options());
+  Result<CompiledPlan> compiled = engine.Compile(f.q.dag);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  const Engine::RunResult base = engine.Execute(*compiled, f.inputs);
+
+  const std::string json = compiled->ToJson();
+  std::string legacy = json;
+  const std::size_t at = legacy.find(",\"local_threads\":");
+  ASSERT_NE(at, std::string::npos);
+  legacy.insert(at,
+                ",\"prefetch_depth\":2,"
+                "\"emulated_shuffle_seconds_per_byte\":0");
+  Result<CompiledPlan> restored = CompiledPlan::FromJson(legacy);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_EQ(restored->ToJson(), json) << "retired keys are dropped";
+  ExpectIdenticalRuns(base, engine.Execute(*restored, f.inputs));
+}
+
+TEST(CompiledPlanTest, InputBlockSizeMismatchIsAStatus) {
+  // X blocked at half the cluster block size: both the compiled path and
+  // the single-shot Run must refuse it with a Status, never abort.
+  GnmfFixture f;
+  Engine engine(Options());
+  Result<CompiledPlan> compiled = engine.Compile(f.q.dag);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+
+  std::map<NodeId, BlockedMatrix> wrong = f.inputs;
+  wrong[f.q.X] = BlockedMatrix::FromSparse(
+      RandomSparse(26, 20, 0.2, /*seed=*/51, 1.0, 5.0), kBs / 2);
+  const Status compat = compiled->CheckCompatible(Options(), wrong);
+  EXPECT_TRUE(compat.IsInvalidArgument()) << compat;
+  EXPECT_NE(compat.message().find("(X) is blocked at 4"), std::string::npos)
+      << compat;
+  EXPECT_NE(compat.message().find("cluster block size is 8"),
+            std::string::npos)
+      << compat;
+
+  const Engine::RunResult executed = engine.Execute(*compiled, wrong);
+  EXPECT_EQ(executed.report.status.message(), compat.message());
+  EXPECT_TRUE(executed.report.stages.empty());
+
+  const Engine::RunResult run = engine.Run(f.q.dag, wrong);
+  EXPECT_TRUE(run.report.status.IsInvalidArgument()) << run.report.status;
+  EXPECT_EQ(run.report.status.message(), compat.message());
+  EXPECT_TRUE(run.outputs.empty());
+  EXPECT_TRUE(run.report.stages.empty());
 }
 
 TEST(CompiledPlanTest, CheckCompatibleRejectsShapeMismatch) {

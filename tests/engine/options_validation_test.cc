@@ -69,17 +69,11 @@ TEST(OptionsValidationTest, RejectsBadClusterShape) {
   o.cluster.local_threads = -2;
   expect_invalid(o, "local_threads");
   o = SmallValid();
-  o.cluster.prefetch_depth = -1;
-  expect_invalid(o, "prefetch_depth");
-  o = SmallValid();
   o.cluster.overlap_factor = 1.5;
   expect_invalid(o, "overlap_factor above 1");
   o = SmallValid();
   o.cluster.overlap_factor = -0.1;
   expect_invalid(o, "overlap_factor below 0");
-  o = SmallValid();
-  o.cluster.emulated_shuffle_seconds_per_byte = -1e-9;
-  expect_invalid(o, "emulated shuffle pace");
 }
 
 TEST(OptionsValidationTest, RejectsContradictoryFlags) {

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -60,11 +63,39 @@ void ExpectIdenticalRuns(const Engine::RunResult& serial,
     EXPECT_EQ(a.stages[s].aggregation_bytes, b.stages[s].aggregation_bytes);
     EXPECT_EQ(a.stages[s].flops, b.stages[s].flops);
     EXPECT_EQ(a.stages[s].max_task_memory, b.stages[s].max_task_memory);
+    EXPECT_EQ(a.stages[s].elapsed_seconds, b.stages[s].elapsed_seconds);
   }
   EXPECT_EQ(a.consolidation_bytes, b.consolidation_bytes);
   EXPECT_EQ(a.aggregation_bytes, b.aggregation_bytes);
   EXPECT_EQ(a.flops, b.flops);
   EXPECT_EQ(a.max_task_memory, b.max_task_memory);
+  EXPECT_EQ(a.elapsed_seconds, b.elapsed_seconds);
+
+  // Recovery: the injector's schedule is a pure function of
+  // (seed, stage, item, attempt), so the thread count cannot change it.
+  ASSERT_EQ(a.telemetry.size(), b.telemetry.size());
+  for (std::size_t s = 0; s < a.telemetry.size(); ++s) {
+    SCOPED_TRACE("telemetry " + a.telemetry[s].label);
+    EXPECT_EQ(a.telemetry[s].recovery.attempts,
+              b.telemetry[s].recovery.attempts);
+    EXPECT_EQ(a.telemetry[s].recovery.retries,
+              b.telemetry[s].recovery.retries);
+    EXPECT_EQ(a.telemetry[s].recovery.injected_failures,
+              b.telemetry[s].recovery.injected_failures);
+    EXPECT_EQ(a.telemetry[s].recovery.exhausted_items,
+              b.telemetry[s].recovery.exhausted_items);
+  }
+}
+
+/// `options` with a seeded task-failure schedule and enough attempts for
+/// every work item to succeed eventually.
+EngineOptions WithFaults(EngineOptions options, std::uint64_t seed,
+                         double probability) {
+  options.faults.seed = seed;
+  options.faults.task_failure_probability = probability;
+  options.recovery.retry.max_attempts = 5;
+  options.recovery.retry.backoff_base_seconds = 0.0;
+  return options;
 }
 
 /// Ensures the global pool actually has workers for the parallel runs and
@@ -157,6 +188,88 @@ TEST_F(ParallelDeterminismTest, SkewBalancedSplitsStayDeterministic) {
   Engine parallel(parallel_opts);
   ExpectIdenticalRuns(serial.Run(f.q.dag, f.inputs),
                       parallel.Run(f.q.dag, f.inputs));
+}
+
+TEST_F(ParallelDeterminismTest, GnmfSweepOverThreads) {
+  // Odd and even pool widths split the work items differently; none of
+  // them may show in the results or the modeled time.
+  GnmfFixture f;
+  Engine serial(Options(/*local_threads=*/1));
+  const Engine::RunResult base = serial.Run(f.q.dag, f.inputs);
+  for (int threads : {2, 3, 4, 8}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    Engine engine(Options(threads));
+    ExpectIdenticalRuns(base, engine.Run(f.q.dag, f.inputs));
+  }
+}
+
+TEST_F(ParallelDeterminismTest, FaultScheduleIsThreadInvariant) {
+  // Injected failures kill work-item attempts mid-fetch; each retry
+  // refetches from scratch, so outputs, StageStats and the recovery trace
+  // match the serial run at every thread count.
+  GnmfFixture f;
+  for (const auto& [seed, probability] :
+       std::vector<std::pair<std::uint64_t, double>>{{7, 0.3}, {11, 0.6}}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Engine serial(WithFaults(Options(/*local_threads=*/1), seed, probability));
+    const Engine::RunResult base = serial.Run(f.q.dag, f.inputs);
+    ASSERT_TRUE(base.report.ok()) << base.report.status;
+    ASSERT_GT(base.report.total_retries(), 0) << "schedule injected nothing";
+    for (int threads : {4, 8}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      Engine engine(WithFaults(Options(threads), seed, probability));
+      ExpectIdenticalRuns(base, engine.Run(f.q.dag, f.inputs));
+    }
+  }
+}
+
+TEST_F(ParallelDeterminismTest, ForcedOperatorsUnderFaultSchedule) {
+  // The fused NMF plan forced through BFO and the two-phase kCpmm path,
+  // replayed with failures injected into both phases.
+  NmfPattern q = BuildNmfPattern(40, 36, 24, /*x_nnz=*/288);
+  std::map<NodeId, BlockedMatrix> inputs;
+  inputs[q.X] = BlockedMatrix::FromSparse(
+      RandomSparse(40, 36, 0.2, /*seed=*/61, 1.0, 5.0), kBs);
+  inputs[q.U] =
+      BlockedMatrix::FromDense(RandomDense(40, 24, /*seed=*/62, 0.5, 1.5), kBs);
+  inputs[q.V] =
+      BlockedMatrix::FromDense(RandomDense(36, 24, /*seed=*/63, 0.5, 1.5), kBs);
+  FusionPlanSet full;
+  full.plans.emplace_back(
+      &q.dag, std::vector<NodeId>{q.vT, q.mm, q.add, q.log, q.mul}, q.mul);
+  for (OperatorKind kind : {OperatorKind::kBfo, OperatorKind::kCpmm}) {
+    SCOPED_TRACE("operator " + std::to_string(static_cast<int>(kind)));
+    Engine serial(WithFaults(Options(/*local_threads=*/1), 7, 0.4));
+    Engine parallel(WithFaults(Options(/*local_threads=*/8), 7, 0.4));
+    auto compiled = serial.CompileWithPlans(q.dag, full, kind);
+    ASSERT_TRUE(compiled.ok()) << compiled.status();
+    const Engine::RunResult base = serial.Execute(*compiled, inputs);
+    ASSERT_TRUE(base.report.ok()) << base.report.status;
+    EXPECT_GT(base.report.total_retries(), 0) << "schedule injected nothing";
+    ExpectIdenticalRuns(base, parallel.Execute(*compiled, inputs));
+  }
+}
+
+TEST_F(ParallelDeterminismTest, ElapsedSecondsSetOnBothExecutionPaths) {
+  // StageStats.elapsed_seconds is the *modeled* cluster time, and the
+  // engine fills it on the real path exactly as on the analytic path.
+  GnmfFixture f;
+  EngineOptions real_opts = Options(/*local_threads=*/4);
+  EngineOptions analytic_opts = real_opts;
+  analytic_opts.analytic = true;
+  Engine real_engine(real_opts);
+  Engine analytic_engine(analytic_opts);
+  const Engine::RunResult real = real_engine.Run(f.q.dag, f.inputs);
+  const Engine::RunResult analytic = analytic_engine.Run(f.q.dag, f.inputs);
+  ASSERT_TRUE(real.report.ok()) << real.report.status;
+  ASSERT_TRUE(analytic.report.ok()) << analytic.report.status;
+  for (const Engine::RunResult* run : {&real, &analytic}) {
+    for (const StageStats& s : run->report.stages) {
+      if (s.num_tasks > 0) {
+        EXPECT_GT(s.elapsed_seconds, 0.0) << s.label;
+      }
+    }
+  }
 }
 
 }  // namespace

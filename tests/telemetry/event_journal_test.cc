@@ -18,8 +18,8 @@ namespace {
 TEST(EventJournalTest, EmitAndSnapshotPreservesOrderAndPayload) {
   EventJournal journal(/*capacity=*/64);
   journal.Emit(LogLevel::kInfo, event_names::kRunStart, {{"mode", "real"}});
-  journal.Emit(LogLevel::kWarning, event_names::kPrefetchStall,
-               {{"node", "3"}, {"wait_seconds", "0.25"}});
+  journal.Emit(LogLevel::kWarning, event_names::kTaskRetry,
+               {{"stage", "s0"}, {"attempts", "2"}});
   journal.Emit(LogLevel::kError, event_names::kRunFinish);
 
   const std::vector<JournalEvent> events = journal.Snapshot();
@@ -101,6 +101,38 @@ TEST(EventJournalHammerTest, EightThreadsWraparound) {
   // The retained window is the tail of the sequence space.
   EXPECT_GE(events.front().seq, kThreads * kPerThread - 64 - kThreads);
   EXPECT_EQ(events.back().seq, kThreads * kPerThread - 1);
+}
+
+// An emitter preempted between claiming its sequence and writing its
+// slot must not replace the newer event that took the slot meanwhile:
+// once every emitter has returned, the ring is exactly the newest
+// `capacity` sequences, however the writes interleaved.
+TEST(EventJournalHammerTest, RetainedWindowIsExactTail) {
+  constexpr int kThreads = 8;
+  constexpr std::int64_t kPerThread = 4000;
+  constexpr std::int64_t kTotal = kThreads * kPerThread;
+  // Capacity 8 is one slot per shard, so every emission collides.
+  for (std::int64_t capacity : {8, 64}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    EventJournal journal(capacity);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&journal] {
+        for (std::int64_t i = 0; i < kPerThread; ++i) {
+          journal.Emit(LogLevel::kInfo, event_names::kStageCommit);
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+
+    const std::vector<JournalEvent> events = journal.Snapshot();
+    ASSERT_EQ(static_cast<std::int64_t>(events.size()), capacity);
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      EXPECT_EQ(events[i].seq,
+                kTotal - capacity + static_cast<std::int64_t>(i));
+    }
+  }
 }
 
 TEST(EventJournalTest, DumpJsonRoundTrips) {
