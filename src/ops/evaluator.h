@@ -12,9 +12,12 @@
 //  * value injection: a pre-computed block can be bound to a node, which is
 //    how the R>1 two-phase execution feeds aggregated matmul partials back
 //    into the O-space evaluation;
-//  * sparse-driver element path: when a sparse mask gates the matmul
-//    (Fig. 1(a)), the evaluator computes dot products only at the mask's
-//    non-zero positions instead of materializing the dense product.
+//  * masked program: when a sparse mask gates the matmul (Fig. 1(a)),
+//    possibly through an element-wise chain, the evaluator lowers the
+//    sub-DAG under the mask into a flat register program once per mask
+//    block (SystemML's Outer template) and runs it once per mask
+//    non-zero — a dot product of a U row with a V row, then the chain —
+//    instead of materializing the dense product.
 //
 // External input blocks are pulled through a caller-provided fetcher; the
 // caller (the distributed operator) charges communication and memory there.
@@ -74,7 +77,7 @@ class KernelEvaluator {
   /// Binds a precomputed block to (node, bi, bj); Eval returns it directly.
   void Inject(NodeId node, std::int64_t bi, std::int64_t bj, Block block);
 
-  /// Enables the sparse-driver element path for `driver`.
+  /// Enables the masked program for `driver`.
   void SetSparseDriver(const SparseDriver& driver) { driver_ = driver; }
 
   /// Evaluates block (bi, bj) of `node` (a plan member or input).
@@ -109,17 +112,28 @@ class KernelEvaluator {
   Result<Block> EvalUncached(NodeId node, std::int64_t bi, std::int64_t bj);
   Result<Block> EvalMaskedMul(const Node& n, std::int64_t bi,
                               std::int64_t bj);
+  /// Fills `vals` with `node`'s value at every stored position of `mask`
+  /// (a sparse block at (bi, bj)), in CSR order: TrySddmm when it applies,
+  /// the lowered masked program otherwise.
+  Status EvalAtMask(NodeId node, const Block& mask, std::int64_t bi,
+                    std::int64_t bj, std::vector<double>* vals);
   /// SDDMM block fast path: when `node` is a plan-member matmul over two
   /// *external* inputs, computes its value at every stored position of
-  /// `mask` (a sparse block) with blockwise dot kernels instead of one
-  /// EvalElement recursion per non-zero.  On success fills `vals` (CSR
-  /// order of mask, size nnz), charges the same FLOPs the element path
-  /// would, and returns true; returns false (charging nothing) when the
-  /// fast path does not apply and the caller must fall back.
+  /// `mask` (a sparse block) with blockwise dot kernels.  On success fills
+  /// `vals` (CSR order of mask, size nnz), charges the same FLOPs the
+  /// masked program would, and returns true; returns false (charging
+  /// nothing) when the fast path does not apply.
   Result<bool> TrySddmm(NodeId node, const Block& mask, std::int64_t bi,
                         std::int64_t bj, std::vector<double>* vals);
-  /// Element (gi, gj) — global coordinates — of `node`'s value.
-  Result<double> EvalElement(NodeId node, std::int64_t gi, std::int64_t gj);
+
+  /// The sub-DAG under a mask, lowered for one mask block (evaluator.cc).
+  class MaskedProgram;
+  /// Appends to code `code` of `prog` the instructions computing the
+  /// element of `node`'s block (bi, bj) at the code's frame position
+  /// (row, col) — or (col, row) when `swap` — and fetches the blocks they
+  /// read.  Returns the register holding the value.
+  Result<int> Bind(MaskedProgram* prog, int code, NodeId node,
+                   std::int64_t bi, std::int64_t bj, bool swap);
 
   const PartialPlan* plan_;
   std::int64_t block_size_;

@@ -73,7 +73,7 @@ std::int64_t RunReport::total_flops() const {
 std::string RunReport::FormatTable() const {
   std::ostringstream out;
   out << "run status: " << status.ToString()
-      << "   wall: " << HumanSeconds(elapsed_seconds) << "\n\n";
+      << "   modeled: " << HumanSeconds(elapsed_seconds) << "\n\n";
 
   std::size_t label_width = 5;
   for (const StageProfile& row : stages) {

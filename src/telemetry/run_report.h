@@ -2,7 +2,7 @@
 // (see DESIGN.md section 12).
 //
 // BuildRunReport takes the pieces an ExecutionReport carries — final
-// status, wall time, per-stage StageTelemetry — plus a MetricsSnapshot,
+// status, modeled time, per-stage StageTelemetry — plus a MetricsSnapshot,
 // and distills the profile a human asks for first: where did the time go,
 // what moved over the network, how parallel was each stage, and did the
 // cost model see it coming.  FormatTable renders the terminal view
@@ -51,6 +51,9 @@ struct StageProfile {
 
 struct RunReport {
   Status status;
+  /// Modeled cluster seconds (ExecutionReport::elapsed_seconds, the
+  /// simulator's time), not host wall time; FormatTable labels it
+  /// "modeled:" above the per-stage host wall columns.
   double elapsed_seconds = 0;
   std::vector<StageProfile> stages;
   MetricsSnapshot metrics;

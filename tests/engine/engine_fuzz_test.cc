@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/compiled_plan.h"
 #include "engine/engine.h"
 #include "engine/reference.h"
 #include "matrix/generators.h"
@@ -172,6 +173,196 @@ TEST_P(EngineFuzz, AllSystemsMatchOracle) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineFuzz,
                          ::testing::Range<std::uint64_t>(1, 33));
+
+/// A sparse mask X (density ≤ 0.1) times a random element-wise chain over
+/// one matrix product — the shape the evaluator's masked program runs.
+struct MaskedQuery {
+  RandomQuery q;
+  NodeId root = kInvalidNode;
+  std::vector<NodeId> members;  // every operator: one fused plan
+};
+
+/// Builds X * chain(P) or chain(P) * X, where P is U·Vᵀ, Uᵀ·V or (V·Uᵀ)ᵀ
+/// and the chain keeps every value finite: log(abs(x) + c),
+/// x / (abs(y) + 1), sqrt(abs(x)), and scalar scaling.  `split_k` shapes
+/// the query for a k-split: a long common dimension, so U and V dominate
+/// task memory, and never (V·Uᵀ)ᵀ, whose O-space reshapes the product.
+MaskedQuery MakeMaskedChainQuery(std::uint64_t seed, bool split_k = false) {
+  std::mt19937_64 rng(seed);
+  auto pick = [&](std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
+  };
+  MaskedQuery m;
+  Dag& dag = m.q.dag;
+  const std::int64_t dims[] = {9, 10, 17, 24};
+  const std::int64_t i = dims[pick(0, 3)];
+  const std::int64_t j = dims[pick(0, 3)];
+  // Two or more k-blocks; five or more for a k-split.
+  const std::int64_t k = split_k ? 33 + pick(0, 15) : 9 + pick(0, 15);
+  auto input = [&](const char* name, std::int64_t rows, std::int64_t cols,
+                   bool sparse) {
+    const std::uint64_t value_seed = seed * 31 + m.q.dense.size();
+    const DenseMatrix value =
+        sparse ? RandomSparse(rows, cols, pick(0, 1) == 0 ? 0.05 : 0.1,
+                              value_seed, 0.3, 1.2)
+                     .ToDense()
+               : RandomDense(rows, cols, value_seed, 0.3, 1.2);
+    const SparseMatrix as_sparse = SparseMatrix::FromDense(value);
+    const NodeId id =
+        *dag.AddInput(name, rows, cols, sparse ? as_sparse.nnz() : -1);
+    m.q.dense[id] = value;
+    m.q.blocked[id] = sparse ? BlockedMatrix::FromSparse(as_sparse, kBs)
+                             : BlockedMatrix::FromDense(value, kBs);
+    return id;
+  };
+  auto op = [&](Result<NodeId> made) {
+    m.members.push_back(*made);
+    return *made;
+  };
+
+  const NodeId x = input("X", i, j, /*sparse=*/true);
+  NodeId mm = kInvalidNode;
+  bool transposed = false;
+  switch (pick(0, split_k ? 1 : 2)) {
+    case 0: {  // U·Vᵀ
+      const NodeId u = input("U", i, k, false);
+      const NodeId v = input("V", j, k, false);
+      mm = op(dag.AddMatMul(u, op(dag.AddTranspose(v))));
+      break;
+    }
+    case 1: {  // Uᵀ·V
+      const NodeId u = input("U", k, i, false);
+      const NodeId v = input("V", k, j, false);
+      mm = op(dag.AddMatMul(op(dag.AddTranspose(u)), v));
+      break;
+    }
+    default: {  // (V·Uᵀ)ᵀ: the product itself under an in-plan transpose
+      const NodeId u = input("U", i, k, false);
+      const NodeId v = input("V", j, k, false);
+      mm = op(dag.AddMatMul(v, op(dag.AddTranspose(u))));
+      transposed = true;
+      break;
+    }
+  }
+  NodeId chain = transposed ? op(dag.AddTranspose(mm)) : mm;
+  const int links = static_cast<int>(pick(1, 4));
+  for (int l = 0; l < links; ++l) {
+    const std::string side_name = "Y" + std::to_string(l);
+    switch (pick(0, 3)) {
+      case 0: {  // log(abs(x) + c)
+        const NodeId c = *dag.AddScalar(0.5 + 0.25 * pick(0, 3));
+        const NodeId abs = op(dag.AddUnary(UnaryFn::kAbs, chain));
+        chain = op(dag.AddUnary(UnaryFn::kLog,
+                                op(dag.AddBinary(BinaryFn::kAdd, abs, c))));
+        break;
+      }
+      case 1: {  // x / (abs(y) + 1), y the mask or a dense side input
+        const NodeId y =
+            pick(0, 1) == 0 ? x : input(side_name.c_str(), i, j, false);
+        const NodeId one = *dag.AddScalar(1.0);
+        const NodeId den = op(dag.AddBinary(
+            BinaryFn::kAdd, op(dag.AddUnary(UnaryFn::kAbs, y)), one));
+        chain = op(dag.AddBinary(BinaryFn::kDiv, chain, den));
+        break;
+      }
+      case 2:  // sqrt(abs(x))
+        chain = op(dag.AddUnary(UnaryFn::kSqrt,
+                                op(dag.AddUnary(UnaryFn::kAbs, chain))));
+        break;
+      default: {  // scalar scaling, the scalar on either side
+        const NodeId s = *dag.AddScalar(0.25 + 0.5 * pick(0, 3));
+        chain = op(pick(0, 1) == 0 ? dag.AddBinary(BinaryFn::kMul, chain, s)
+                                   : dag.AddBinary(BinaryFn::kMul, s, chain));
+        break;
+      }
+    }
+  }
+  m.root = op(pick(0, 1) == 0 ? dag.AddBinary(BinaryFn::kMul, x, chain)
+                              : dag.AddBinary(BinaryFn::kMul, chain, x));
+  dag.MarkOutput(m.root);
+  return m;
+}
+
+EngineOptions FuzzOptions(SystemMode mode) {
+  EngineOptions options;
+  options.system = mode;
+  options.cluster.num_nodes = 2;
+  options.cluster.tasks_per_node = 3;
+  options.cluster.block_size = kBs;
+  return options;
+}
+
+class MaskedChainFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(MaskedChainFuzz, AllSystemsMatchOracle) {
+  const MaskedQuery m = MakeMaskedChainQuery(GetParam());
+  auto expected = ReferenceEval(m.q.dag, m.root, m.q.dense);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  for (SystemMode mode :
+       {SystemMode::kFuseMe, SystemMode::kSystemDs, SystemMode::kMatFast,
+        SystemMode::kDistMe, SystemMode::kTensorFlow}) {
+    SCOPED_TRACE(std::string(SystemModeName(mode)) + " seed " +
+                 std::to_string(GetParam()));
+    auto engine = Engine::Create(FuzzOptions(mode));
+    ASSERT_TRUE(engine.ok()) << engine.status();
+    auto compiled = engine->Compile(m.q.dag);
+    ASSERT_TRUE(compiled.ok()) << compiled.status();
+    const Engine::RunResult run = engine->Execute(*compiled, m.q.blocked);
+    ASSERT_TRUE(run.ok()) << run.status();
+    EXPECT_LE(DenseMatrix::MaxAbsDiff(
+                  run.outputs.at(m.root).blocks().ToDense(), *expected),
+              1e-7);
+  }
+}
+
+TEST_P(MaskedChainFuzz, SplitKIsThreadInvariant) {
+  // The whole query as one plan, forced through cpmm with a budget that
+  // admits no R = 1 cuboid: phase 1 masks the partial products, phase 2
+  // runs the chain over the injected sums.
+  const MaskedQuery m = MakeMaskedChainQuery(GetParam(), /*split_k=*/true);
+  auto expected = ReferenceEval(m.q.dag, m.root, m.q.dense);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  FusionPlanSet full;
+  full.plans.emplace_back(&m.q.dag, m.members, m.root);
+  EngineOptions options = FuzzOptions(SystemMode::kFuseMe);
+  {
+    auto probe = Engine::Create(options);
+    ASSERT_TRUE(probe.ok()) << probe.status();
+    options.cluster.task_memory_budget = static_cast<std::int64_t>(
+        probe->cost_model().MemEst(Cuboid{1, 1, 1}, full.plans[0])) - 1;
+  }
+  std::vector<Engine::RunResult> runs;
+  for (int threads : {1, 4}) {
+    options.cluster.local_threads = threads;
+    auto engine = Engine::Create(options);
+    ASSERT_TRUE(engine.ok()) << engine.status();
+    auto compiled =
+        engine->CompileWithPlans(m.q.dag, full, OperatorKind::kCpmm);
+    ASSERT_TRUE(compiled.ok()) << compiled.status();
+    runs.push_back(engine->Execute(*compiled, m.q.blocked));
+    const Engine::RunResult& run = runs.back();
+    ASSERT_TRUE(run.ok()) << run.status();
+    ASSERT_EQ(run.report.telemetry.size(), 1u);
+    EXPECT_GT(run.report.telemetry[0].predicted.cuboid.R, 1);
+    EXPECT_LE(DenseMatrix::MaxAbsDiff(
+                  run.outputs.at(m.root).blocks().ToDense(), *expected),
+              1e-7);
+  }
+  const ExecutionReport& a = runs[0].report;
+  const ExecutionReport& b = runs[1].report;
+  EXPECT_EQ(DenseMatrix::MaxAbsDiff(
+                runs[0].outputs.at(m.root).blocks().ToDense(),
+                runs[1].outputs.at(m.root).blocks().ToDense()),
+            0.0);
+  EXPECT_EQ(a.flops, b.flops);
+  EXPECT_EQ(a.consolidation_bytes, b.consolidation_bytes);
+  EXPECT_EQ(a.aggregation_bytes, b.aggregation_bytes);
+  EXPECT_EQ(a.max_task_memory, b.max_task_memory);
+  EXPECT_EQ(a.elapsed_seconds, b.elapsed_seconds);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MaskedChainFuzz,
+                         ::testing::Range<std::uint64_t>(1, 17));
 
 }  // namespace
 }  // namespace fuseme

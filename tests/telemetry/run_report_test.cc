@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/string_util.h"
 #include "telemetry/metric_names.h"
 #include "telemetry/metrics.h"
 #include "telemetry/prediction.h"
@@ -71,6 +72,11 @@ TEST(RunReportTest, TableListsEveryStage) {
   EXPECT_NE(table.find("beta-stage"), std::string::npos);
   EXPECT_NE(table.find("totals:"), std::string::npos);
   EXPECT_NE(table.find("OK"), std::string::npos);
+  // The header's time is the modeled cluster time, never host wall time.
+  const std::string header = table.substr(0, table.find('\n'));
+  EXPECT_NE(header.find("modeled: " + HumanSeconds(2.0)), std::string::npos)
+      << header;
+  EXPECT_EQ(header.find("wall"), std::string::npos) << header;
 }
 
 TEST(RunReportTest, JsonEmbedsMetricsSnapshot) {
