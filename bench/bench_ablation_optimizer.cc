@@ -21,8 +21,8 @@ ExecutionReport RunForced(const Dag& dag, const FusionPlanSet& plans,
                           OperatorKind kind) {
   EngineOptions options;
   options.analytic = true;
-  Engine engine(options);
-  return engine.RunWithPlans(dag, plans, {}, kind).report;
+  return CompileAndExecute(CreateEngine(options), dag, plans, {}, kind)
+      .report;
 }
 
 }  // namespace
@@ -89,14 +89,15 @@ int main() {
 
     EngineOptions options;
     options.analytic = true;
-    Engine engine(options);
+    const Engine engine = CreateEngine(options);
     FusionPlanSet raw = FinalizePlanSet(q.dag, explored, "explore only");
     FusionPlanSet split =
         FinalizePlanSet(q.dag, refined, "explore + exploit");
     ExecutionReport raw_report =
-        engine.RunWithPlans(q.dag, raw, {}, OperatorKind::kCfo).report;
+        CompileAndExecute(engine, q.dag, raw, {}, OperatorKind::kCfo).report;
     ExecutionReport split_report =
-        engine.RunWithPlans(q.dag, split, {}, OperatorKind::kCfo).report;
+        CompileAndExecute(engine, q.dag, split, {}, OperatorKind::kCfo)
+            .report;
     PrintRow({"phase", "plans", "elapsed", "comm GB"});
     PrintRule(4);
     PrintRow({"explore only", std::to_string(raw.plans.size()),

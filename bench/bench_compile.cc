@@ -1,15 +1,15 @@
 // Compile-once / execute-many amortization (DESIGN.md section 18): the
 // host-side cost of Engine::Compile versus Engine::Execute on the GNMF
-// update step, and the per-run saving of replaying one CompiledPlan ten
-// times instead of re-planning through the legacy Run path.
+// update step, and the amortized per-run cost of replaying one
+// CompiledPlan ten times.
 //
 // Beyond the timings this harness *asserts* the facade's contract and
 // exits non-zero on a violation:
 //   * compile happens exactly once — the fuseme_solver_resolutions_total
 //     and fuseme_planner_plans_total counter families must stay flat
 //     across every Execute of a compiled artifact,
-//   * a replayed Execute is bitwise identical to the legacy single-shot
-//     Run (outputs and shuffle/flops accounting).
+//   * every replayed Execute is bitwise identical to the first one
+//     (outputs and shuffle/flops accounting).
 //
 // Environment overrides for quick smoke runs (scripts/run_bench_smoke.sh):
 //   FUSEME_BENCH_COMPILE_N   matrix dimension (default 768)
@@ -88,17 +88,7 @@ int main() {
   options.cluster.block_size = bs;
   options.cluster.task_memory_budget = 1LL << 40;
   options.metrics = &g_metrics;
-  Engine engine(options);
-
-  // Legacy single-shot baseline: plan + verify + execute on every call.
-  const double run_t0 = Now();
-  Engine::RunResult legacy = engine.Run(q.dag, inputs);
-  const double run_wall = Now() - run_t0;
-  if (!legacy.report.ok()) {
-    std::fprintf(stderr, "FAIL: legacy Run failed: %s\n",
-                 legacy.report.status.ToString().c_str());
-    return 1;
-  }
+  const Engine engine = CreateEngine(options);
 
   const double compile_t0 = Now();
   Result<CompiledPlan> compiled = engine.Compile(q.dag);
@@ -123,11 +113,6 @@ int main() {
   if (!first.report.ok()) {
     std::fprintf(stderr, "FAIL: Execute failed: %s\n",
                  first.report.status.ToString().c_str());
-    return 1;
-  }
-  if (!IdenticalOutputs(legacy, first)) {
-    std::fprintf(stderr,
-                 "FAIL: Execute(compiled) diverged from the legacy Run\n");
     return 1;
   }
 
@@ -170,10 +155,10 @@ int main() {
   }
 
   std::printf(
-      "gnmf n=%lld k=%lld: compile %.4fs   execute %.4fs   legacy run "
-      "%.4fs   amortized over %d executes %.4fs/run\n",
+      "gnmf n=%lld k=%lld: compile %.4fs   execute %.4fs   "
+      "amortized over %d executes %.4fs/run\n",
       static_cast<long long>(n), static_cast<long long>(k), compile_wall,
-      execute_wall, run_wall, kExecuteReps, amortized_wall);
+      execute_wall, kExecuteReps, amortized_wall);
   std::printf("compile-exactly-once: %lld resolutions, %lld planner plans "
               "(flat across %d executes)\n",
               static_cast<long long>(resolutions_watermark),
@@ -190,11 +175,10 @@ int main() {
     r.elapsed_seconds = wall;  // host wall clock, not modeled seconds
     return r;
   };
-  g_records.push_back(record("compile", compile_wall, legacy.report));
+  g_records.push_back(record("compile", compile_wall, first.report));
   g_records.back().bytes = 0;
   g_records.back().flops = 0;
   g_records.push_back(record("execute", execute_wall, first.report));
-  g_records.push_back(record("legacy_run", run_wall, legacy.report));
   BenchRecord amortized =
       record("execute_amortized", amortized_wall, first.report);
   amortized.config.emplace_back("reps", std::to_string(kExecuteReps));

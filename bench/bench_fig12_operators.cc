@@ -55,7 +55,7 @@ Row RunSpec(const SyntheticSpec& spec, int num_nodes = 8) {
   {  // SystemDS: BFO or RFO by the §6.2 rule — its only two *fused*
      // operators ("SystemDS uses only either BFO or RFO").
     options.system = SystemMode::kSystemDs;
-    Engine engine(options);
+    const Engine engine = CreateEngine(options);
     const std::int64_t bs = options.cluster.block_size;
     const std::int64_t gi = (spec.i + bs - 1) / bs;
     const std::int64_t gj = (spec.j + bs - 1) / bs;
@@ -63,20 +63,20 @@ Row RunSpec(const SyntheticSpec& spec, int num_nodes = 8) {
         SizeOf(q.dag, q.X), gi * gj);
     const bool use_bfo = parts < gi || parts < gj;
     row.systemds_op = use_bfo ? "B" : "R";
-    auto run = engine.RunWithPlans(
-        q.dag, full, {},
+    auto run = CompileAndExecute(
+        engine, q.dag, full, {},
         use_bfo ? OperatorKind::kBfo : OperatorKind::kRfo);
     row.systemds = run.report;
   }
   {  // DistME: operator-at-a-time with CuboidMM.
     options.system = SystemMode::kDistMe;
-    Engine engine(options);
-    row.distme = engine.Run(q.dag, {}).report;
+    const Engine engine = CreateEngine(options);
+    row.distme = CompileAndExecute(engine, q.dag, {}).report;
   }
   {  // FuseME: the whole query as one CFO.
     options.system = SystemMode::kFuseMe;
-    Engine engine(options);
-    auto run = engine.RunWithPlans(q.dag, full, {}, OperatorKind::kCfo);
+    const Engine engine = CreateEngine(options);
+    auto run = CompileAndExecute(engine, q.dag, full, {}, OperatorKind::kCfo);
     row.fuseme = run.report;
     // Recover (P*,Q*,R*) for Table 3.
     PqrOptimizer opt(&engine.cost_model());
@@ -118,14 +118,23 @@ void PrintSweep(const char* title, const std::vector<SyntheticSpec>& specs) {
 // identical inputs, local_threads=1 vs the machine's parallelism.  The
 // outputs and the accounted StageStats must match exactly. ---
 
+/// Compiles the CFO plan once and returns the best wall clock of three
+/// Executes of it.
 double TimeCfoSeconds(const Engine& engine, const NmfPattern& q,
                       const FusionPlanSet& plans,
                       const std::map<NodeId, BlockedMatrix>& inputs,
                       Engine::RunResult* out) {
+  Result<CompiledPlan> compiled =
+      engine.CompileWithPlans(q.dag, plans, OperatorKind::kCfo);
+  if (!compiled.ok()) {
+    std::fprintf(stderr, "CFO compile failed: %s\n",
+                 compiled.status().ToString().c_str());
+    std::exit(1);
+  }
   double best = 1e30;
   for (int run = 0; run < 3; ++run) {
     const auto t0 = std::chrono::steady_clock::now();
-    *out = engine.RunWithPlans(q.dag, plans, inputs, OperatorKind::kCfo);
+    *out = engine.Execute(*compiled, inputs);
     const auto t1 = std::chrono::steady_clock::now();
     if (!out->report.ok()) {
       std::fprintf(stderr, "CFO run failed: %s\n",
@@ -171,10 +180,10 @@ void RunRealModeCfoSpeedup() {
   options.cluster.local_threads = 1;
   Engine::RunResult serial_run, parallel_run;
   const double serial =
-      TimeCfoSeconds(Engine(options), q, full, inputs, &serial_run);
+      TimeCfoSeconds(CreateEngine(options), q, full, inputs, &serial_run);
   options.cluster.local_threads = 0;  // process default
   const double parallel =
-      TimeCfoSeconds(Engine(options), q, full, inputs, &parallel_run);
+      TimeCfoSeconds(CreateEngine(options), q, full, inputs, &parallel_run);
 
   const DenseMatrix a = serial_run.outputs.at(q.mul).blocks().ToDense();
   const DenseMatrix b = parallel_run.outputs.at(q.mul).blocks().ToDense();

@@ -51,12 +51,6 @@ int main() {
   PrintRow({"(P,R)", "Cost()", "data (GB)", "elapsed"});
   PrintRule(4);
 
-  EngineOptions options;
-  options.analytic = true;
-  Engine engine(options);
-  FusionPlanSet full;
-  full.plans.push_back(plan);
-
   double best_swept_cost = 1e300;
   Cuboid best_swept;
   const std::int64_t q_fix = best.c.Q;

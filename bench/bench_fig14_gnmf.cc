@@ -32,9 +32,8 @@ Cell RunOne(SystemMode mode, const RatingDataset& dataset, std::int64_t k) {
   options.system = mode;
   options.analytic = true;
   options.tracer = &g_tracer;
-  Engine engine(options);
   Cell cell;
-  cell.report = engine.Run(q.dag, {}).report;
+  cell.report = CompileAndExecute(CreateEngine(options), q.dag, {}).report;
   if (cell.report.ok() &&
       cell.report.elapsed_seconds * kIterations >
           options.cluster.timeout_seconds) {

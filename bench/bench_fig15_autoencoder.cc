@@ -28,15 +28,15 @@ std::string EpochCell(SystemMode mode, std::int64_t n, std::int64_t batch,
   options.system = mode;
   options.analytic = true;
   options.tracer = &g_tracer;
-  Engine engine(options);
-  ExecutionReport report = engine.Run(q.dag, {}).report;
+  ExecutionReport report =
+      CompileAndExecute(CreateEngine(options), q.dag, {}).report;
   if (report.status.IsOutOfMemory()) return "O.O.M.";
   if (report.status.IsTimedOut()) return "T.O.";
   if (!report.ok()) return "ERR";
   const double steps =
       static_cast<double>(n) / static_cast<double>(batch);
   const double epoch_seconds = report.elapsed_seconds * steps;
-  if (epoch_seconds > engine.options().cluster.timeout_seconds) {
+  if (epoch_seconds > options.cluster.timeout_seconds) {
     return "T.O.";
   }
   char buf[32];

@@ -220,8 +220,8 @@ bool RunPredictionCell(std::int64_t n) {
   options.system = SystemMode::kFuseMe;
   options.cluster.block_size = 64;
   options.metrics = &g_metrics;
-  Engine engine(options);
-  auto run = engine.RunWithPlans(q.dag, full, inputs, OperatorKind::kCfo);
+  const Engine engine = CreateEngine(options);
+  auto run = CompileAndExecute(engine, q.dag, full, inputs, OperatorKind::kCfo);
   if (!run.report.ok()) {
     std::fprintf(stderr, "prediction cell failed: %s\n",
                  run.report.status.ToString().c_str());

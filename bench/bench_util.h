@@ -7,16 +7,58 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "engine/compiled_plan.h"
 #include "engine/engine.h"
 #include "telemetry/metrics.h"
 #include "telemetry/tracer.h"
 
 namespace fuseme::bench {
+
+/// Engine::Create for a harness's fixed options; a rejection is a bug in
+/// the harness, so it exits with the status.
+inline Engine CreateEngine(EngineOptions options) {
+  Result<Engine> engine = Engine::Create(std::move(options));
+  if (!engine.ok()) {
+    std::fprintf(stderr, "invalid engine options: %s\n",
+                 engine.status().ToString().c_str());
+    std::exit(1);
+  }
+  return std::move(engine).value();
+}
+
+/// Compiles `dag` with the engine's planner and executes it once.
+inline Engine::RunResult CompileAndExecute(
+    const Engine& engine, const Dag& dag,
+    const std::map<NodeId, BlockedMatrix>& inputs) {
+  Result<CompiledPlan> plan = engine.Compile(dag);
+  if (!plan.ok()) {
+    Engine::RunResult rejected;
+    rejected.report.status = plan.status();
+    return rejected;
+  }
+  return engine.Execute(*plan, inputs);
+}
+
+/// Compiles `plans` over `dag` (forcing `forced`) and executes the
+/// artifact once; a CompileWithPlans rejection is the result's status.
+inline Engine::RunResult CompileAndExecute(
+    const Engine& engine, const Dag& dag, const FusionPlanSet& plans,
+    const std::map<NodeId, BlockedMatrix>& inputs, OperatorKind forced) {
+  Result<CompiledPlan> plan = engine.CompileWithPlans(dag, plans, forced);
+  if (!plan.ok()) {
+    Engine::RunResult rejected;
+    rejected.report.status = plan.status();
+    return rejected;
+  }
+  return engine.Execute(*plan, inputs);
+}
 
 /// Writes `tracer`'s spans to TRACE_<name>.json (Chrome trace-event JSON)
 /// in the working directory, next to the BENCH_<name>.json result sink.

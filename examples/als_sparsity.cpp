@@ -42,8 +42,18 @@ int main() {
               "shuffled", "plan");
   for (SystemMode mode : {SystemMode::kFuseMe, SystemMode::kDistMe}) {
     options.system = mode;
-    Engine engine(options);
-    Engine::RunResult run = engine.Run(q.dag, inputs);
+    Result<Engine> engine = Engine::Create(options);
+    if (!engine.ok()) {
+      std::printf("engine rejected: %s\n",
+                  engine.status().ToString().c_str());
+      return 1;
+    }
+    Result<CompiledPlan> plan = engine->Compile(q.dag);
+    if (!plan.ok()) {
+      std::printf("compile failed: %s\n", plan.status().ToString().c_str());
+      return 1;
+    }
+    Engine::RunResult run = engine->Execute(*plan, inputs);
     if (!run.report.ok()) {
       std::printf("%-10s failed: %s\n", SystemModeName(mode).data(),
                   run.report.Summary().c_str());

@@ -37,7 +37,17 @@ int main() {
   options.cluster.num_nodes = 2;
   options.cluster.tasks_per_node = 4;
   options.cluster.block_size = block;
-  Engine engine(options);
+  Result<Engine> engine = Engine::Create(options);
+  if (!engine.ok()) {
+    std::printf("engine rejected: %s\n", engine.status().ToString().c_str());
+    return 1;
+  }
+  // One compile serves every training step: only the inputs change.
+  Result<CompiledPlan> plan = engine->Compile(q.dag);
+  if (!plan.ok()) {
+    std::printf("compile failed: %s\n", plan.status().ToString().c_str());
+    return 1;
+  }
 
   std::printf("training a %lld-%lld-%lld-%lld-%lld autoencoder, batch %lld\n",
               static_cast<long long>(features), static_cast<long long>(h1),
@@ -56,7 +66,7 @@ int main() {
     inputs[q.W3] = BlockedMatrix::FromDense(w3, block);
     inputs[q.W4] = BlockedMatrix::FromDense(w4, block);
 
-    Engine::RunResult run = engine.Run(q.dag, inputs);
+    Engine::RunResult run = engine->Execute(*plan, inputs);
     if (!run.report.ok()) {
       std::printf("step %d failed: %s\n", step, run.report.Summary().c_str());
       return 1;

@@ -43,7 +43,12 @@ int main() {
   options.cluster.tasks_per_node = 3;
   options.cluster.block_size = block;
   options.tracer = &tracer;
-  Engine engine(options);
+  Result<Engine> created = Engine::Create(options);
+  if (!created.ok()) {
+    std::printf("engine rejected: %s\n", created.status().ToString().c_str());
+    return 1;
+  }
+  const Engine& engine = *created;
 
   // Describe shows every registered solver's verdict per stage — the
   // decision Compile freezes — without running anything.

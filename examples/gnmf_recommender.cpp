@@ -47,7 +47,17 @@ int main() {
   options.cluster.num_nodes = 4;
   options.cluster.tasks_per_node = 4;
   options.cluster.block_size = block;
-  Engine engine(options);
+  Result<Engine> engine = Engine::Create(options);
+  if (!engine.ok()) {
+    std::printf("engine rejected: %s\n", engine.status().ToString().c_str());
+    return 1;
+  }
+  // One compile serves every iteration: only U and V change.
+  Result<CompiledPlan> plan = engine->Compile(q.dag);
+  if (!plan.ok()) {
+    std::printf("compile failed: %s\n", plan.status().ToString().c_str());
+    return 1;
+  }
 
   std::printf("GNMF on %lldx%lld ratings (nnz=%lld), k=%lld\n",
               static_cast<long long>(users), static_cast<long long>(items),
@@ -66,7 +76,7 @@ int main() {
       inputs[q.X] = BlockedMatrix::FromSparse(ratings, block);
       inputs[q.V] = BlockedMatrix::FromDense(v, block);
       inputs[q.U] = BlockedMatrix::FromDense(u, block);
-      Engine::RunResult run = engine.Run(q.dag, inputs);
+      Engine::RunResult run = engine->Execute(*plan, inputs);
       if (!run.report.ok()) {
         std::printf("iteration %d failed: %s\n", iter,
                     run.report.Summary().c_str());

@@ -22,10 +22,10 @@
 // scripts/check.sh smoke step).
 //
 // --serve=<port> turns on the live observability plane (flight recorder,
-// sampler, HTTP exporter; port 0 picks an ephemeral port, printed as
-// "serving on port N").  After the run the process keeps serving
-// /metrics, /healthz, /varz, /flightz and /seriesz until stdin reaches
-// EOF — scripts/run_exporter_smoke.sh drives this mode with curl.
+// HTTP exporter; port 0 picks an ephemeral port, printed as "serving on
+// port N").  After the run the process keeps serving /metrics, /healthz,
+// /varz and /flightz until stdin reaches EOF —
+// scripts/run_exporter_smoke.sh drives this mode with curl.
 //
 // --validate-prom ignores every other flag: it reads Prometheus text
 // exposition from stdin, runs the format checker, and exits non-zero on
@@ -170,7 +170,6 @@ int main(int argc, char** argv) {
   options.metrics = &registry;
   if (serve_port >= 0) {
     options.observability.journal_capacity = 1024;
-    options.observability.sample_period_seconds = 0.05;
     options.observability.exporter_port = serve_port;
   }
   Result<Engine> created = Engine::Create(options);
@@ -243,7 +242,7 @@ int main(int argc, char** argv) {
   if (serve_port >= 0) {
     std::printf("run complete; serving until stdin closes\n");
     std::fflush(stdout);
-    // Hold the exporter (and journal/sampler behind it) up for curl: the
+    // Hold the exporter (and the journal behind it) up for curl: the
     // driver keeps our stdin open on a pipe and closes it to stop us.
     std::string line;
     while (std::getline(std::cin, line)) {

@@ -41,14 +41,19 @@ int main(int argc, char** argv) {
     EngineOptions options;
     options.system = mode;
     options.analytic = true;  // paper-default modeled cluster
-    Engine engine(options);
-    Result<CompiledPlan> compiled = engine.Compile(*parsed->dag);
+    Result<Engine> engine = Engine::Create(options);
+    if (!engine.ok()) {
+      std::printf("%-10s engine rejected: %s\n", SystemModeName(mode).data(),
+                  engine.status().ToString().c_str());
+      continue;
+    }
+    Result<CompiledPlan> compiled = engine->Compile(*parsed->dag);
     if (!compiled.ok()) {
       std::printf("%-10s compile failed: %s\n", SystemModeName(mode).data(),
                   compiled.status().ToString().c_str());
       continue;
     }
-    auto run = engine.Execute(*compiled, {});
+    auto run = engine->Execute(*compiled, {});
     std::printf("%-10s %-34s", SystemModeName(mode).data(),
                 run.report.Summary().c_str());
     std::printf("  [%zu plan(s):", compiled->plans().plans.size());

@@ -50,31 +50,23 @@ int main(int argc, char** argv) {
   inputs[V.id()] = BlockedMatrix::FromDense(v, block);
 
   // --- 3. Configure a modeled cluster and run. ---------------------------
-  ClusterConfig cluster;
-  cluster.num_nodes = 4;
-  cluster.tasks_per_node = 4;
-  cluster.block_size = block;
-
-  EngineOptions::Builder builder;
-  builder.System(SystemMode::kFuseMe).Cluster(cluster);
+  EngineOptions options;
+  options.system = SystemMode::kFuseMe;
+  options.cluster.num_nodes = 4;
+  options.cluster.tasks_per_node = 4;
+  options.cluster.block_size = block;
   if (with_faults) {
     // A fixed seed makes the schedule reproducible: every run kills the
     // same attempts, so the retry counters below are exact, not flaky.
-    FaultSpec faults;
-    faults.seed = 42;
-    faults.task_failure_probability = 0.2;
-    faults.straggler_probability = 0.1;
-    RecoveryOptions recovery;
-    recovery.retry.max_attempts = 4;
-    recovery.degrade_on_oom = true;
-    builder.Faults(faults).Recovery(recovery);
+    options.faults.seed = 42;
+    options.faults.task_failure_probability = 0.2;
+    options.faults.straggler_probability = 0.1;
+    options.recovery.retry.max_attempts = 4;
+    options.recovery.degrade_on_oom = true;
   }
-  Result<EngineOptions> options = builder.Build();
-  if (!options.ok()) {
-    std::printf("bad options: %s\n", options.status().ToString().c_str());
-    return 1;
-  }
-  Result<Engine> engine = Engine::Create(*options);
+  // Create validates the options: a bad configuration is a Status here,
+  // never an abort.
+  Result<Engine> engine = Engine::Create(options);
   if (!engine.ok()) {
     std::printf("engine rejected: %s\n", engine.status().ToString().c_str());
     return 1;

@@ -57,7 +57,7 @@ run_and_check "$PWD/$BUILD_DIR/bench/bench_fig12_operators" \
 # than two cells show a speedup or the sparse-stage prediction drifts past 2x.
 run_and_check "$PWD/$BUILD_DIR/bench/bench_sparse" BENCH_sparse.json
 # Compile-once/execute-many facade; exits non-zero if a replayed Execute
-# re-plans (solver/planner counters move) or diverges from the legacy Run.
+# re-plans (solver/planner counters move) or diverges from the first one.
 run_and_check "$PWD/$BUILD_DIR/bench/bench_compile" BENCH_compile.json
 
 echo "bench smoke passed"

@@ -29,7 +29,6 @@
 #ifndef FUSEME_COMMON_SYNCHRONIZATION_H_
 #define FUSEME_COMMON_SYNCHRONIZATION_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -139,19 +138,6 @@ class CondVar {
     std::unique_lock<std::mutex> native(mu.mu_, std::adopt_lock);
     cv_.wait(native);
     native.release();
-  }
-
-  /// Blocks until notified or `seconds` elapsed; returns false on
-  /// timeout.  Same capability contract as Wait — the caller holds `mu`
-  /// across the call and loops on the guarded condition (a periodic
-  /// worker like the telemetry sampler loops on its stop flag, waking
-  /// each period).
-  bool WaitFor(Mutex& mu, double seconds) REQUIRES(mu) {
-    std::unique_lock<std::mutex> native(mu.mu_, std::adopt_lock);
-    const std::cv_status status =
-        cv_.wait_for(native, std::chrono::duration<double>(seconds));
-    native.release();
-    return status == std::cv_status::no_timeout;
   }
 
   void NotifyOne() { cv_.notify_one(); }

@@ -7,8 +7,8 @@
 // Engine::Execute replays the artifact against fresh inputs of the same
 // shape class without re-planning, re-verifying, or re-searching; only
 // the input-dependent prediction refinement (the CFO cell-stage
-// narrow-dependency model) is re-applied per run, so outputs and
-// StageStats are bitwise identical to the legacy Run path.
+// narrow-dependency model) is re-applied per run, so every execute of
+// one artifact yields bitwise identical outputs and StageStats.
 //
 // The artifact serializes to JSON (ToJson/FromJson) for cross-process
 // reuse: the DAG is replayed through the Dag builders and re-validated
@@ -50,9 +50,8 @@ struct CompiledStage {
   StagePrediction prediction;
 };
 
-/// Everything Compile produces beyond the plan set itself.  Split out so
-/// the legacy Run/RunWithPlans wrappers can compile-and-execute against a
-/// caller's Dag/plan set in place, without copying them into an artifact.
+/// Everything Compile produces beyond the DAG and plan set: what Execute
+/// replays and what the JSON form records per stage.
 struct CompiledStageTable {
   /// Resolved report description: the planner's own, or the synthesized
   /// "caller-supplied (N plan(s))".

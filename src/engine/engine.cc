@@ -117,30 +117,22 @@ std::string ExecutionReport::Summary() const {
   return out;
 }
 
-Engine::Engine(ValidatedTag, EngineOptions options)
+Engine::Engine(EngineOptions options)
     : options_(std::move(options)), model_(options_.cluster) {
   if (options_.faults.enabled()) injector_.emplace(options_.faults);
 }
 
-Engine::Engine(EngineOptions options)
-    : Engine(ValidatedTag{}, std::move(options)) {
-  const Status valid = options_.Validate();
-  FUSEME_CHECK(valid.ok()) << valid.message();
-  const Status started = StartObservability();
-  FUSEME_CHECK(started.ok()) << started.message();
-}
-
 Result<Engine> Engine::Create(EngineOptions options) {
   FUSEME_RETURN_IF_ERROR(options.Validate());
-  Engine engine(ValidatedTag{}, std::move(options));
+  Engine engine(std::move(options));
   FUSEME_RETURN_IF_ERROR(engine.StartObservability());
   return engine;
 }
 
 Status Engine::StartObservability() {
   // One steady-clock epoch for every sink: the tracer's when tracing is
-  // on, so /flightz and /seriesz timestamps correlate with TRACE_*.json
-  // spans by subtraction.
+  // on, so /flightz timestamps correlate with TRACE_*.json spans by
+  // subtraction.
   const std::chrono::steady_clock::time_point epoch =
       options_.tracer != nullptr ? options_.tracer->epoch()
                                  : std::chrono::steady_clock::now();
@@ -149,9 +141,7 @@ Status Engine::StartObservability() {
         plane_, ObservabilityPlane::Start(options_.observability,
                                           options_.metrics, epoch));
   }
-  journal_ = options_.journal != nullptr
-                 ? options_.journal
-                 : (plane_ != nullptr ? plane_->journal() : nullptr);
+  journal_ = plane_ != nullptr ? plane_->journal() : nullptr;
   return Status::OK();
 }
 
@@ -215,7 +205,7 @@ FusionPlanSet Engine::MakePlans(const Dag& dag) const {
   }
   if (verify) {
     // Planner-generated sets must cover every operator node exactly once;
-    // structural per-plan and stage-graph rules run again in RunWithPlans
+    // structural per-plan and stage-graph rules run again in CompileStages
     // (which also accepts caller-supplied, possibly partial, sets).
     std::vector<VerifierDiagnostic> d =
         verifier.VerifyPlanSet(dag, set, /*require_coverage=*/true);
@@ -420,8 +410,7 @@ Result<DistributedMatrix> Engine::RunPlanAnalytic(const PartialPlan& plan,
 
 Engine::RunResult Engine::ExecuteCompiled(
     const Dag& dag, const FusionPlanSet& plans, const CompiledStageTable& table,
-    const std::map<NodeId, BlockedMatrix>& inputs,
-    bool trust_cached_verification) const {
+    const std::map<NodeId, BlockedMatrix>& inputs) const {
   RunResult out;
   out.report.plan_description = table.description;
   if (options_.tracer != nullptr) options_.tracer->NameCurrentThread("driver");
@@ -439,11 +428,9 @@ Engine::RunResult Engine::ExecuteCompiled(
     // CompileStages already ran the structural verification and cached the
     // diagnostics in the table; replay them instead of re-verifying on
     // every execute.  A table compiled without the verifier, and a
-    // kParanoid engine on the compile-once/execute-many path, still get a
-    // full fresh pass here.
+    // kParanoid engine, still get a full fresh pass here.
     std::vector<VerifierDiagnostic> diags = table.diagnostics;
-    if (!table.verified || (!trust_cached_verification &&
-                            options_.verify == VerifyLevel::kParanoid)) {
+    if (!table.verified || options_.verify == VerifyLevel::kParanoid) {
       std::vector<VerifierDiagnostic> more =
           verifier.Verify(dag, plans, options_.verify);
       diags.insert(diags.end(), more.begin(), more.end());
@@ -649,7 +636,7 @@ Engine::RunResult Engine::ExecuteCompiled(
               ctx.ConfigureRecovery(injector, stage_ordinal,
                                     options_.recovery.retry);
             }
-            result = solver->Run(solver_env, plan, *predr, fin, &ctx);
+            result = solver->RunStage(solver_env, plan, *predr, fin, &ctx);
             stats = ctx.Finalize();
             stats.label = label;
             telemetry.threads = ctx.Parallelism();
@@ -1028,8 +1015,7 @@ Engine::RunResult Engine::Execute(
     out.report.status = compat;
     return out;
   }
-  return ExecuteCompiled(plan.dag(), plan.plans(), plan.table(), inputs,
-                         /*trust_cached_verification=*/false);
+  return ExecuteCompiled(plan.dag(), plan.plans(), plan.table(), inputs);
 }
 
 PlanDescription Engine::Describe(const Dag& dag) const {
@@ -1060,22 +1046,6 @@ PlanDescription Engine::Describe(const Dag& dag) const {
     desc.stages.push_back(std::move(stage));
   }
   return desc;
-}
-
-Engine::RunResult Engine::RunWithPlans(
-    const Dag& dag, const FusionPlanSet& plans,
-    const std::map<NodeId, BlockedMatrix>& inputs, OperatorKind forced) const {
-  // Compile-then-execute over the caller's dag/plan set in place.  The
-  // table carries the single Verify pass this call just ran, so trusting
-  // it keeps the historical one-verification-per-call behavior exactly.
-  const CompiledStageTable table = CompileStages(dag, plans, forced);
-  return ExecuteCompiled(dag, plans, table, inputs,
-                         /*trust_cached_verification=*/true);
-}
-
-Engine::RunResult Engine::Run(
-    const Dag& dag, const std::map<NodeId, BlockedMatrix>& inputs) const {
-  return RunWithPlans(dag, MakePlans(dag), inputs, OperatorKind::kAuto);
 }
 
 }  // namespace fuseme

@@ -45,17 +45,6 @@
 #include "telemetry/prediction.h"
 #include "verify/diagnostic.h"
 
-// Opt-in deprecation surface for the legacy single-shot entry points
-// (Run / RunWithPlans — see the migration note in src/fuseme.h).  Off by
-// default so existing builds stay warning-clean under -Werror; define
-// FUSEME_ENABLE_DEPRECATION_WARNINGS to get [[deprecated]] diagnostics at
-// every legacy call site.
-#ifdef FUSEME_ENABLE_DEPRECATION_WARNINGS
-#define FUSEME_DEPRECATED(msg) [[deprecated(msg)]]
-#else
-#define FUSEME_DEPRECATED(msg)
-#endif
-
 namespace fuseme {
 
 class Tracer;
@@ -131,17 +120,10 @@ struct EngineOptions {
   /// counters/gauges/histograms into it — see telemetry/metric_names.h and
   /// DESIGN.md section 12.  Null disables with no hot-path cost.
   MetricsRegistry* metrics = nullptr;
-  /// Optional flight-recorder sink (not owned): when set, the engine
-  /// emits structured events (telemetry/event_names.h) into it — run
-  /// lifecycle, planner/optimizer decisions, verifier diagnostics, stage
-  /// commits, the fault path.  Null disables at
-  /// one pointer test, like tracer/metrics.  Mutually exclusive with
-  /// observability.journal_capacity (which makes the engine own one).
-  EventJournal* journal = nullptr;
   /// Engine-owned observability plane (DESIGN.md section 17): flight
-  /// recorder, background metrics sampler, embedded HTTP exporter.  All
-  /// off by default; Engine::Create starts the enabled pieces and stops
-  /// them when the last copy of the engine goes away.
+  /// recorder and embedded HTTP exporter.  All off by default;
+  /// Engine::Create starts the enabled pieces and stops them when the
+  /// last copy of the engine goes away.
   ObservabilityOptions observability;
   /// How much static plan verification runs before/while executing
   /// (verify/plan_verifier.h, DESIGN.md section 11).  kPlanner checks the
@@ -161,39 +143,8 @@ struct EngineOptions {
   /// Checks the options for structural validity: cluster shape, budgets,
   /// bandwidths, probabilities, retry/degradation knobs, and contradictory
   /// flags (balance_sparsity in analytic mode).  Engine::Create rejects
-  /// invalid options with this status; the legacy Engine constructor
-  /// CHECK-fails on it.
+  /// invalid options with this status.
   Status Validate() const;
-
-  class Builder;
-};
-
-/// Fluent construction for EngineOptions; Build() validates.
-///
-///   FUSEME_ASSIGN_OR_RETURN(
-///       EngineOptions opts,
-///       EngineOptions::Builder().System(SystemMode::kFuseMe)
-///           .Cluster(cluster).Analytic(true).Build());
-class EngineOptions::Builder {
- public:
-  Builder& System(SystemMode system);
-  Builder& Cluster(const ClusterConfig& cluster);
-  Builder& Analytic(bool analytic);
-  Builder& PrunedSearch(bool pruned);
-  Builder& BalanceSparsity(bool balance);
-  Builder& WithTracer(Tracer* tracer);
-  Builder& WithMetrics(MetricsRegistry* metrics);
-  Builder& WithJournal(EventJournal* journal);
-  Builder& Observability(const ObservabilityOptions& observability);
-  Builder& Verify(VerifyLevel level);
-  Builder& Faults(const FaultSpec& faults);
-  Builder& Recovery(const RecoveryOptions& recovery);
-
-  /// Validates and returns the assembled options.
-  Result<EngineOptions> Build() const;
-
- private:
-  EngineOptions options_;
 };
 
 /// One rung of the OOM degradation ladder actually taken while a stage
@@ -258,20 +209,15 @@ struct SolverEnv;           // engine/solver_registry.h
 
 class Engine {
  public:
-  /// Validated construction — the preferred entry point.  Rejects invalid
-  /// options (EngineOptions::Validate) with InvalidArgument instead of
-  /// aborting.
+  /// The only way to build an engine.  Rejects invalid options
+  /// (EngineOptions::Validate) with InvalidArgument.
   static Result<Engine> Create(EngineOptions options);
-
-  /// Legacy constructor, kept as a checked wrapper around Create:
-  /// CHECK-fails on options Create would reject.
-  explicit Engine(EngineOptions options);
 
   const EngineOptions& options() const { return options_; }
   const CostModel& cost_model() const { return model_; }
 
-  /// The effective flight recorder: the external options.journal if one
-  /// was supplied, else the engine-owned plane's, else null.
+  /// The engine-owned plane's flight recorder, or null when
+  /// observability.journal_capacity is 0.
   EventJournal* journal() const { return journal_; }
   /// The engine-owned observability plane, or null when
   /// options.observability enabled nothing.
@@ -291,40 +237,40 @@ class Engine {
     /// mode).  Empty when execution failed.
     std::map<NodeId, DistributedMatrix> outputs;
 
-    /// Passthroughs to the report, so callers of either Run entry point
-    /// read outcomes uniformly.
+    /// Passthroughs to the report.
     bool ok() const { return report.ok(); }
     const Status& status() const { return report.status; }
     std::string Summary() const { return report.Summary(); }
   };
 
-  // --- Compile-once / execute-many facade (DESIGN.md section 18) ---
+  // --- Compile-once / execute-many: the one way to run (DESIGN.md
+  // section 18) ---
 
   /// Runs the full planning pipeline exactly once — planner, verifier,
   /// per-stage solver resolution, base cost-model predictions — and
   /// freezes the result (with an owned copy of the DAG) into a reusable
   /// CompiledPlan.  Compilation itself always succeeds; planning and
   /// verification failures are frozen into the artifact and surface from
-  /// Execute exactly as they would from Run.
+  /// Execute.
   Result<CompiledPlan> Compile(const Dag& dag) const;
 
-  /// Compile against a caller-supplied plan set (the compiled counterpart
-  /// of RunWithPlans), optionally forcing the physical operator.  The
-  /// plans are rebuilt over the artifact's own DAG copy; malformed plans
+  /// Compile against a caller-supplied plan set (e.g. the single
+  /// full-query plan of §6.2), optionally forcing the physical operator.
+  /// The plans are rebuilt over the artifact's own DAG copy; malformed plans
   /// (out-of-range members, leaf members, roots outside the member set)
   /// are rejected with InvalidArgument instead of aborting.
   Result<CompiledPlan> CompileWithPlans(
       const Dag& dag, const FusionPlanSet& plans,
       OperatorKind forced = OperatorKind::kAuto) const;
 
-  /// Replays a compiled artifact against fresh inputs of the same shape
-  /// class: no re-planning, no solver re-resolution, and no redundant
-  /// re-verification (kParanoid deliberately re-checks).  Rejects — via
+  /// Replays a compiled artifact against `inputs`: no re-planning, no
+  /// solver re-resolution, and no re-verification unless the artifact was
+  /// compiled unverified or the level is kParanoid.  Rejects — via
   /// CompiledPlan::CheckCompatible, before any stage runs or any event is
   /// emitted — an artifact compiled for a different system/mode/cluster,
   /// or inputs whose shape/sparsity class differs from what the artifact
-  /// was compiled for.  Outputs and stage statistics are bitwise
-  /// identical to Run over the same DAG and inputs.
+  /// was compiled for.  In analytic mode missing leaves are synthesized
+  /// as descriptors from the DAG metadata.
   RunResult Execute(const CompiledPlan& plan,
                     const std::map<NodeId, BlockedMatrix>& inputs) const;
 
@@ -333,25 +279,6 @@ class Engine {
   /// modeled cost — the decision Compile would freeze, without freezing
   /// or executing anything.
   PlanDescription Describe(const Dag& dag) const;
-
-  /// Plans and executes the whole DAG.  `inputs` binds leaf nodes to
-  /// matrices; in analytic mode missing leaves are synthesized as
-  /// descriptors from the DAG metadata.
-  ///
-  /// Thin wrapper over the compile/execute pipeline (Compile + Execute
-  /// semantics in one call); prefer those when the same DAG runs more
-  /// than once.  See the deprecation note in src/fuseme.h.
-  FUSEME_DEPRECATED("single-shot entry point; use Compile + Execute")
-  RunResult Run(const Dag& dag,
-                const std::map<NodeId, BlockedMatrix>& inputs) const;
-
-  /// Executes a caller-supplied plan set (e.g. the single full-query plan
-  /// of §6.2), optionally forcing the physical operator.  Thin wrapper
-  /// over the compile/execute pipeline, like Run.
-  FUSEME_DEPRECATED("single-shot entry point; use CompileWithPlans + Execute")
-  RunResult RunWithPlans(const Dag& dag, const FusionPlanSet& plans,
-                         const std::map<NodeId, BlockedMatrix>& inputs,
-                         OperatorKind forced = OperatorKind::kAuto) const;
 
   /// Cost-model prediction for running `plan` as `kind`: chosen cuboid
   /// plus NetEst/AggBytes/ComEst/MemEst (telemetry/prediction.h).  Fails
@@ -370,12 +297,11 @@ class Engine {
                                        double budget_factor = 1.0) const;
 
  private:
-  struct ValidatedTag {};
-  Engine(ValidatedTag, EngineOptions options);
+  explicit Engine(EngineOptions options);
 
   /// Builds and starts the options_.observability plane (if anything is
-  /// enabled) and resolves the effective journal_ pointer.  Called once
-  /// from Create / the legacy constructor after validation.
+  /// enabled) and caches its journal_ pointer.  Called once from Create
+  /// after validation.
   Status StartObservability();
 
   /// Solver-facing view of this engine's configuration.  `silent` drops
@@ -391,23 +317,17 @@ class Engine {
   OperatorKind PickOperator(const PartialPlan& plan,
                             const std::vector<NodeId>& bound_matrices) const;
 
-  /// The compile half shared by Compile / CompileWithPlans / the legacy
-  /// wrappers: verification (cached into the table) plus per-stage
-  /// operator selection, solver resolution, and base predictions.
-  /// Operates on the caller's dag/plans in place, so the legacy wrappers
-  /// add no copies (and never rebuild — possibly deliberately corrupted —
-  /// test plan sets through the checking constructor).
+  /// The compile half shared by Compile / CompileWithPlans: verification
+  /// (cached into the table) plus per-stage operator selection, solver
+  /// resolution, and base predictions.
   CompiledStageTable CompileStages(const Dag& dag, const FusionPlanSet& plans,
                                    OperatorKind forced) const;
 
   /// The execute half: replays a compiled stage table against `inputs`.
-  /// `trust_cached_verification` distinguishes the single-call legacy
-  /// path (the table was verified moments ago; trust it even at
-  /// kParanoid) from artifact replay (kParanoid re-verifies).
-  RunResult ExecuteCompiled(const Dag& dag, const FusionPlanSet& plans,
-                            const CompiledStageTable& table,
-                            const std::map<NodeId, BlockedMatrix>& inputs,
-                            bool trust_cached_verification) const;
+  RunResult ExecuteCompiled(
+      const Dag& dag, const FusionPlanSet& plans,
+      const CompiledStageTable& table,
+      const std::map<NodeId, BlockedMatrix>& inputs) const;
 
   /// Fills `stats` from the prediction's closed forms (plus the engine's
   /// narrow-dependency and output-write adjustments) and returns the
@@ -441,8 +361,8 @@ class Engine {
   /// Engine-owned observability plane (shared so Engine stays copyable;
   /// background threads stop with the last copy).  Null when disabled.
   std::shared_ptr<ObservabilityPlane> plane_;
-  /// Effective journal sink: options_.journal, else plane_->journal(),
-  /// else null.  Cached so emission sites are one pointer test.
+  /// plane_->journal(), or null.  Cached so emission sites are one
+  /// pointer test.
   EventJournal* journal_ = nullptr;
 };
 

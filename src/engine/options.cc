@@ -103,84 +103,7 @@ Status EngineOptions::Validate() const {
   FUSEME_RETURN_IF_ERROR(ValidateFaults(faults));
   FUSEME_RETURN_IF_ERROR(ValidateRecovery(recovery));
   FUSEME_RETURN_IF_ERROR(observability.Validate(metrics != nullptr));
-  if (journal != nullptr && observability.journal_capacity > 0) {
-    // Two journals would split the event stream; pick one sink.
-    return Invalid(
-        "options.journal and observability.journal_capacity are mutually "
-        "exclusive — pass the external journal or let the engine own one");
-  }
   return Status::OK();
-}
-
-EngineOptions::Builder& EngineOptions::Builder::System(SystemMode system) {
-  options_.system = system;
-  return *this;
-}
-
-EngineOptions::Builder& EngineOptions::Builder::Cluster(
-    const ClusterConfig& cluster) {
-  options_.cluster = cluster;
-  return *this;
-}
-
-EngineOptions::Builder& EngineOptions::Builder::Analytic(bool analytic) {
-  options_.analytic = analytic;
-  return *this;
-}
-
-EngineOptions::Builder& EngineOptions::Builder::PrunedSearch(bool pruned) {
-  options_.pruned_search = pruned;
-  return *this;
-}
-
-EngineOptions::Builder& EngineOptions::Builder::BalanceSparsity(bool balance) {
-  options_.balance_sparsity = balance;
-  return *this;
-}
-
-EngineOptions::Builder& EngineOptions::Builder::WithTracer(Tracer* tracer) {
-  options_.tracer = tracer;
-  return *this;
-}
-
-EngineOptions::Builder& EngineOptions::Builder::WithMetrics(
-    MetricsRegistry* metrics) {
-  options_.metrics = metrics;
-  return *this;
-}
-
-EngineOptions::Builder& EngineOptions::Builder::WithJournal(
-    EventJournal* journal) {
-  options_.journal = journal;
-  return *this;
-}
-
-EngineOptions::Builder& EngineOptions::Builder::Observability(
-    const ObservabilityOptions& observability) {
-  options_.observability = observability;
-  return *this;
-}
-
-EngineOptions::Builder& EngineOptions::Builder::Verify(VerifyLevel level) {
-  options_.verify = level;
-  return *this;
-}
-
-EngineOptions::Builder& EngineOptions::Builder::Faults(
-    const FaultSpec& faults) {
-  options_.faults = faults;
-  return *this;
-}
-
-EngineOptions::Builder& EngineOptions::Builder::Recovery(
-    const RecoveryOptions& recovery) {
-  options_.recovery = recovery;
-  return *this;
-}
-
-Result<EngineOptions> EngineOptions::Builder::Build() const {
-  FUSEME_RETURN_IF_ERROR(options_.Validate());
-  return options_;
 }
 
 }  // namespace fuseme

@@ -137,10 +137,11 @@ class CfoSolver : public StageSolver {
     RefineCellStagePrediction(env, plan, inputs, pred);
   }
 
-  Result<DistributedMatrix> Run(const SolverEnv& env, const PartialPlan& plan,
-                                const StagePrediction& pred,
-                                const FusedInputs& inputs,
-                                StageContext* ctx) const override {
+  Result<DistributedMatrix> RunStage(const SolverEnv& env,
+                                     const PartialPlan& plan,
+                                     const StagePrediction& pred,
+                                     const FusedInputs& inputs,
+                                     StageContext* ctx) const override {
     CuboidOptions cuboid_options;
     cuboid_options.balance_sparsity = env.balance_sparsity;
     return CuboidFusedOperator::Execute(plan, pred.cuboid, inputs, ctx,
@@ -275,10 +276,11 @@ class BfoSolver : public StageSolver {
     return pred;
   }
 
-  Result<DistributedMatrix> Run(const SolverEnv& env, const PartialPlan& plan,
-                                const StagePrediction& pred,
-                                const FusedInputs& inputs,
-                                StageContext* ctx) const override {
+  Result<DistributedMatrix> RunStage(const SolverEnv& env,
+                                     const PartialPlan& plan,
+                                     const StagePrediction& pred,
+                                     const FusedInputs& inputs,
+                                     StageContext* ctx) const override {
     (void)env;
     (void)pred;
     return BroadcastFusedOperator::Execute(plan, inputs, ctx);
@@ -320,10 +322,11 @@ class RfoSolver : public StageSolver {
     return pred;
   }
 
-  Result<DistributedMatrix> Run(const SolverEnv& env, const PartialPlan& plan,
-                                const StagePrediction& pred,
-                                const FusedInputs& inputs,
-                                StageContext* ctx) const override {
+  Result<DistributedMatrix> RunStage(const SolverEnv& env,
+                                     const PartialPlan& plan,
+                                     const StagePrediction& pred,
+                                     const FusedInputs& inputs,
+                                     StageContext* ctx) const override {
     (void)env;
     return CuboidFusedOperator::Execute(plan, pred.cuboid, inputs, ctx);
   }
@@ -379,10 +382,11 @@ class CpmmSolver : public StageSolver {
     return pred;
   }
 
-  Result<DistributedMatrix> Run(const SolverEnv& env, const PartialPlan& plan,
-                                const StagePrediction& pred,
-                                const FusedInputs& inputs,
-                                StageContext* ctx) const override {
+  Result<DistributedMatrix> RunStage(const SolverEnv& env,
+                                     const PartialPlan& plan,
+                                     const StagePrediction& pred,
+                                     const FusedInputs& inputs,
+                                     StageContext* ctx) const override {
     (void)env;
     return CuboidFusedOperator::Execute(plan, pred.cuboid, inputs, ctx);
   }

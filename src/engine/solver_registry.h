@@ -91,11 +91,11 @@ class StageSolver {
   virtual double Cost(const SolverEnv& env, const PartialPlan& plan) const;
 
   /// Executes the stage on real block data.
-  virtual Result<DistributedMatrix> Run(const SolverEnv& env,
-                                        const PartialPlan& plan,
-                                        const StagePrediction& pred,
-                                        const FusedInputs& inputs,
-                                        StageContext* ctx) const = 0;
+  virtual Result<DistributedMatrix> RunStage(const SolverEnv& env,
+                                             const PartialPlan& plan,
+                                             const StagePrediction& pred,
+                                             const FusedInputs& inputs,
+                                             StageContext* ctx) const = 0;
 };
 
 /// Immutable process-wide solver catalogue.  Registration order within an

@@ -2,7 +2,7 @@
 //
 //   #include "fuseme.h"
 //
-//   fuseme::EngineOptions options;  // or EngineOptions::Builder()...
+//   fuseme::EngineOptions options;  // plain struct; Create validates it
 //   FUSEME_ASSIGN_OR_RETURN(fuseme::Engine engine,
 //                           fuseme::Engine::Create(options));
 //   FUSEME_ASSIGN_OR_RETURN(fuseme::CompiledPlan plan, engine.Compile(dag));
@@ -17,20 +17,19 @@
 // — kernels, physical operators, the verifier's rule internals — stay
 // behind their own headers on purpose; depend on them only from tests.
 //
-// MIGRATION NOTE (DESIGN.md section 18): Engine::Run and
-// Engine::RunWithPlans are legacy single-shot entry points, kept as thin
-// wrappers over the compile/execute pipeline.  They re-plan, re-verify,
-// and re-resolve solvers on every call.  New code should use
+// MIGRATION NOTE (DESIGN.md section 18): the single-shot Engine::Run
+// wrappers (planner and caller-plan-set variants), the aborting
+// Engine(EngineOptions) constructor and the fluent options builder are
+// gone.  Every run is
 //
+//   Engine::Create(options)          — validate options, build the engine
 //   Engine::Describe(dag)            — inspect solver choices, run nothing
 //   Engine::Compile(dag)             — plan + verify + resolve, once
 //   Engine::CompileWithPlans(...)    — same, over a caller plan set
 //   Engine::Execute(plan, inputs)    — replay against fresh inputs
 //   CompiledPlan::ToJson/FromJson    — persist across processes
 //
-// and reserve Run/RunWithPlans for one-off queries.  Defining
-// FUSEME_ENABLE_DEPRECATION_WARNINGS turns the legacy pair's
-// FUSEME_DEPRECATED annotations into [[deprecated]] warnings.
+// A one-off query is Compile followed by a single Execute.
 
 #ifndef FUSEME_FUSEME_H_
 #define FUSEME_FUSEME_H_
@@ -73,8 +72,8 @@
 #include "runtime/simulator.h"
 
 // Observability: metrics, tracing, predicted-vs-actual telemetry, and
-// the live plane (flight recorder, sampler, HTTP exporter — DESIGN.md
-// section 17).
+// the live plane (flight recorder, HTTP exporter — DESIGN.md section
+// 17).
 #include "telemetry/event_journal.h"
 #include "telemetry/event_names.h"
 #include "telemetry/http_exporter.h"
@@ -83,7 +82,6 @@
 #include "telemetry/observability.h"
 #include "telemetry/prediction.h"
 #include "telemetry/run_report.h"
-#include "telemetry/sampler.h"
 #include "telemetry/tracer.h"
 
 // Paper workloads and dataset descriptions (§6.1).

@@ -45,7 +45,7 @@ class Lexer {
  public:
   explicit Lexer(std::string_view text) : text_(text) {}
 
-  Result<std::vector<Token>> Run() {
+  Result<std::vector<Token>> Tokenize() {
     std::vector<Token> out;
     while (true) {
       SkipSpace();
@@ -385,7 +385,7 @@ Result<ParsedQuery> ParseQueryImpl(
     std::string_view text,
     const std::map<std::string, MatrixShape>& symbols) {
   Lexer lexer(text);
-  FUSEME_ASSIGN_OR_RETURN(std::vector<Token> tokens, lexer.Run());
+  FUSEME_ASSIGN_OR_RETURN(std::vector<Token> tokens, lexer.Tokenize());
   ParsedQuery query;
   query.dag = std::make_unique<Dag>();
   Parser parser(std::move(tokens), query.dag.get(), symbols, &query.inputs);

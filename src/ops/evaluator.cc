@@ -105,7 +105,7 @@ class KernelEvaluator::MaskedProgram {
 
   /// Evaluates `code` at frame position (row, col); its value is the last
   /// instruction's register.
-  double Run(int code, std::int64_t row, std::int64_t col) {
+  double Eval(int code, std::int64_t row, std::int64_t col) {
     Code& c = codes_[code];
     double* r = c.regs.data();
     for (std::size_t i = 0; i < c.instrs.size(); ++i) {
@@ -165,8 +165,8 @@ class KernelEvaluator::MaskedProgram {
         continue;
       }
       for (std::int64_t k = t.k0; k < t.k0 + t.width; ++k) {
-        const double a = Run(t.lhs, row, k);
-        acc += a * Run(t.rhs, k, col);
+        const double a = Eval(t.lhs, row, k);
+        acc += a * Eval(t.rhs, k, col);
       }
     }
     return acc;
@@ -490,7 +490,7 @@ Status KernelEvaluator::EvalAtMask(NodeId node, const Block& mask,
   FUSEME_RETURN_IF_ERROR(Bind(&prog, root, node, bi, bj, false).status());
   vals->reserve(static_cast<std::size_t>(nnz));
   mask.sparse().ForEach([&](std::int64_t i, std::int64_t j, double) {
-    vals->push_back(prog.Run(root, i, j));
+    vals->push_back(prog.Eval(root, i, j));
   });
   flops_ += nnz * prog.flops(root);
   gemm_flops_ += nnz * prog.gemm_flops(root);

@@ -16,7 +16,7 @@
 namespace fuseme::event_names {
 
 // --- Engine lifecycle ---
-/// A Run/RunWithPlans invocation started; payload: system, mode, plans.
+/// An Execute of a compiled plan started; payload: system, mode, plans.
 inline constexpr char kRunStart[] = "fuseme.engine.run_start";
 /// The run returned; payload: status, elapsed_seconds, stages.
 inline constexpr char kRunFinish[] = "fuseme.engine.run_finish";

@@ -3,11 +3,9 @@
 namespace fuseme {
 
 HttpExporter::HttpExporter(Options options, const MetricsRegistry* metrics,
-                           const EventJournal* journal,
-                           const MetricsSampler* sampler)
+                           const EventJournal* journal)
     : metrics_(metrics),
       journal_(journal),
-      sampler_(sampler),
       server_(HttpServer::Options{options.port, /*max_request_bytes=*/8192},
               [this](const HttpRequest& request) { return Handle(request); }) {
 }
@@ -39,14 +37,9 @@ HttpResponse HttpExporter::Handle(const HttpRequest& request) const {
     response.body = journal_->DumpJson();
     return response;
   }
-  if (request.path == "/seriesz" && sampler_ != nullptr) {
-    response.content_type = "application/json";
-    response.body = sampler_->ToJson();
-    return response;
-  }
   response.status = 404;
   response.body = "unknown endpoint " + request.path +
-                  " (try /healthz /metrics /varz /flightz /seriesz)\n";
+                  " (try /healthz /metrics /varz /flightz)\n";
   return response;
 }
 

@@ -8,7 +8,6 @@
 //   /metrics  Prometheus text exposition (MetricsSnapshot::ToPrometheusText)
 //   /varz     metrics snapshot as JSON (MetricsSnapshot::ToJson)
 //   /flightz  flight-recorder dump (EventJournal::DumpJson)
-//   /seriesz  sampler ring series (MetricsSampler::ToJson)
 //
 // Sources are nullable: an endpoint whose source is absent returns 404,
 // so the exporter composes with whatever subset of the plane is enabled.
@@ -22,7 +21,6 @@
 #include "common/status.h"
 #include "telemetry/event_journal.h"
 #include "telemetry/metrics.h"
-#include "telemetry/sampler.h"
 
 namespace fuseme {
 
@@ -36,7 +34,7 @@ class HttpExporter {
   };
 
   HttpExporter(Options options, const MetricsRegistry* metrics,
-               const EventJournal* journal, const MetricsSampler* sampler);
+               const EventJournal* journal);
   ~HttpExporter();
 
   HttpExporter(const HttpExporter&) = delete;
@@ -54,7 +52,6 @@ class HttpExporter {
  private:
   const MetricsRegistry* metrics_;
   const EventJournal* journal_;
-  const MetricsSampler* sampler_;
   HttpServer server_;
 };
 

@@ -15,20 +15,9 @@ Status ObservabilityOptions::Validate(bool have_metrics) const {
     return Invalid("journal_capacity must be >= 0 (0 disables), got " +
                    std::to_string(journal_capacity));
   }
-  if (sample_period_seconds < 0) {
-    return Invalid("sample_period_seconds must be >= 0 (0 disables), got " +
-                   std::to_string(sample_period_seconds));
-  }
-  if (sampler_capacity <= 0) {
-    return Invalid("sampler_capacity must be > 0, got " +
-                   std::to_string(sampler_capacity));
-  }
   if (exporter_port < -1 || exporter_port > 65535) {
     return Invalid("exporter_port must be in [-1, 65535], got " +
                    std::to_string(exporter_port));
-  }
-  if (sample_period_seconds > 0 && !have_metrics) {
-    return Invalid("the sampler needs a metrics registry on the options");
   }
   if (exporter_port >= 0 && !have_metrics && journal_capacity == 0) {
     return Invalid(
@@ -57,18 +46,10 @@ Result<std::unique_ptr<ObservabilityPlane>> ObservabilityPlane::Start(
       plane->crash_dump_attached_ = true;
     }
   }
-  if (options.sample_period_seconds > 0) {
-    MetricsSampler::Options sampler_options;
-    sampler_options.period_seconds = options.sample_period_seconds;
-    sampler_options.capacity = options.sampler_capacity;
-    plane->sampler_ =
-        std::make_unique<MetricsSampler>(metrics, sampler_options, epoch);
-    plane->sampler_->Start();
-  }
   if (options.exporter_port >= 0) {
     plane->exporter_ = std::make_unique<HttpExporter>(
         HttpExporter::Options{options.exporter_port}, metrics,
-        plane->journal_.get(), plane->sampler_.get());
+        plane->journal_.get());
     FUSEME_RETURN_IF_ERROR(plane->exporter_->Start());
     // ~ObservabilityPlane handles partial teardown if we returned above.
   }
@@ -76,10 +57,8 @@ Result<std::unique_ptr<ObservabilityPlane>> ObservabilityPlane::Start(
 }
 
 ObservabilityPlane::~ObservabilityPlane() {
-  // Exporter first so no request can touch a stopping sampler/journal,
-  // then the sampler's thread, then (implicitly) the journal.
+  // Exporter first so no request can touch the journal as it goes away.
   if (exporter_ != nullptr) exporter_->Stop();
-  if (sampler_ != nullptr) sampler_->Stop();
   if (crash_dump_attached_) AttachJournalCrashDump(nullptr);
 }
 

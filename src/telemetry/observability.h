@@ -1,6 +1,5 @@
-// Live observability plane: composition root for the flight recorder,
-// the time-series sampler, and the embedded HTTP exporter (DESIGN.md
-// section 17).
+// Live observability plane: composition root for the flight recorder
+// and the embedded HTTP exporter (DESIGN.md section 17).
 //
 // EngineOptions carries an ObservabilityOptions; Engine::Create calls
 // ObservabilityPlane::Start with it, and the engine emits into the
@@ -19,7 +18,6 @@
 #include "telemetry/event_journal.h"
 #include "telemetry/http_exporter.h"
 #include "telemetry/metrics.h"
-#include "telemetry/sampler.h"
 
 namespace fuseme {
 
@@ -27,11 +25,6 @@ namespace fuseme {
 struct ObservabilityOptions {
   /// Flight-recorder capacity in events; 0 disables the journal.
   std::int64_t journal_capacity = 0;
-  /// Background sampling period; 0 disables the sampler.  Requires a
-  /// metrics registry on the engine options.
-  double sample_period_seconds = 0.0;
-  /// Sampler ring capacity (samples retained).
-  std::int64_t sampler_capacity = 256;
   /// Exporter TCP port on loopback: -1 disables the exporter (default),
   /// 0 binds an ephemeral port (read it back from the plane), 1-65535
   /// binds that port.
@@ -42,25 +35,22 @@ struct ObservabilityOptions {
   bool crash_dump = false;
 
   [[nodiscard]] bool any_enabled() const {
-    return journal_capacity > 0 || sample_period_seconds > 0 ||
-           exporter_port >= 0;
+    return journal_capacity > 0 || exporter_port >= 0;
   }
 
-  /// Structural validity: non-negative capacities/periods, port range,
-  /// and cross-field requirements (sampler/exporter need `have_metrics`,
-  /// crash_dump needs the journal).
+  /// Structural validity: non-negative capacity, port range, and
+  /// cross-field requirements (the exporter needs a source, crash_dump
+  /// needs the journal).
   [[nodiscard]] Status Validate(bool have_metrics) const;
 };
 
-/// Owns whichever of journal/sampler/exporter the options enable and
-/// manages their background threads.  Stop order (exporter first, then
-/// sampler) is the destructor's job; the plane outlives any thread it
-/// started.
+/// Owns whichever of journal/exporter the options enable.  The destructor
+/// stops the exporter's threads before the journal goes away.
 class ObservabilityPlane {
  public:
   /// Builds and starts the enabled pieces.  `metrics` may be null only
   /// when the options don't need it (Validate enforces this); `epoch`
-  /// anchors journal and sampler timestamps — pass the engine Tracer's
+  /// anchors journal timestamps — pass the engine Tracer's
   /// epoch so /flightz and TRACE_*.json share a clock.
   static Result<std::unique_ptr<ObservabilityPlane>> Start(
       const ObservabilityOptions& options, const MetricsRegistry* metrics,
@@ -75,7 +65,6 @@ class ObservabilityPlane {
   /// Null when the corresponding piece is disabled.
   [[nodiscard]] EventJournal* journal() { return journal_.get(); }
   [[nodiscard]] const EventJournal* journal() const { return journal_.get(); }
-  [[nodiscard]] MetricsSampler* sampler() { return sampler_.get(); }
 
   /// Bound exporter port, or -1 when the exporter is disabled.
   [[nodiscard]] int exporter_port() const;
@@ -85,7 +74,6 @@ class ObservabilityPlane {
 
   ObservabilityOptions options_;
   std::unique_ptr<EventJournal> journal_;
-  std::unique_ptr<MetricsSampler> sampler_;
   std::unique_ptr<HttpExporter> exporter_;
   bool crash_dump_attached_ = false;
 };

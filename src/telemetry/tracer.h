@@ -48,7 +48,7 @@ class Tracer {
  public:
   Tracer() : epoch_(std::chrono::steady_clock::now()) {}
   /// Anchors timestamps at `epoch` instead of construction time, so
-  /// several sinks (tracer, event journal, sampler) can share one clock
+  /// several sinks (tracer, event journal) can share one clock
   /// origin and their outputs correlate by timestamp.
   explicit Tracer(std::chrono::steady_clock::time_point epoch)
       : epoch_(epoch) {}
@@ -57,8 +57,8 @@ class Tracer {
   Tracer& operator=(const Tracer&) = delete;
 
   /// The zero point of every *_us field in this tracer's spans.  The
-  /// engine hands this epoch to its EventJournal/MetricsSampler so
-  /// /flightz and /seriesz timestamps line up with TRACE_*.json.
+  /// engine hands this epoch to its EventJournal so /flightz
+  /// timestamps line up with TRACE_*.json.
   [[nodiscard]] std::chrono::steady_clock::time_point epoch() const {
     return epoch_;
   }

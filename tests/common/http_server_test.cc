@@ -26,9 +26,9 @@ TEST(ParseHttpRequestTest, AcceptsSimpleGet) {
 
 TEST(ParseHttpRequestTest, StripsQueryString) {
   Result<HttpRequest> req =
-      ParseHttpRequest("GET /seriesz?window=60 HTTP/1.0");
+      ParseHttpRequest("GET /flightz?window=60 HTTP/1.0");
   ASSERT_TRUE(req.ok()) << req.status();
-  EXPECT_EQ(req->path, "/seriesz");
+  EXPECT_EQ(req->path, "/flightz");
 }
 
 TEST(ParseHttpRequestTest, ParsesNonGetMethods) {

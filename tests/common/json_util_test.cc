@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <string>
 
+#include "compile_execute.h"
 #include "engine/compiled_plan.h"
 #include "engine/engine.h"
 #include "telemetry/event_journal.h"
@@ -68,7 +69,7 @@ TEST(JsonUtilTest, CompiledPlanFromJsonRejectsBadNumbers) {
   GnmfQuery q = BuildGnmf(26, 20, 6, /*x_nnz=*/104);
   EngineOptions options;
   options.cluster.block_size = 8;
-  Result<CompiledPlan> compiled = Engine(options).Compile(q.dag);
+  Result<CompiledPlan> compiled = MakeEngine(options).Compile(q.dag);
   ASSERT_TRUE(compiled.ok()) << compiled.status();
   const std::string json = compiled->ToJson();
   ASSERT_TRUE(CompiledPlan::FromJson(json).ok());

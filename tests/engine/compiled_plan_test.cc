@@ -1,22 +1,28 @@
-// CompiledPlan (DESIGN.md section 18): compile-once/execute-many replays
-// must be bitwise identical to the legacy single-shot Run across dense,
-// sparse, and fault-injected schedules; the JSON artifact round-trips;
-// and CheckCompatible rejects mismatched shapes, block sizes, sparsity
+// CompiledPlan (DESIGN.md section 18): an executed artifact matches the
+// single-node reference, and replaying it after other executes is bitwise
+// identical to a freshly compiled one across dense, sparse, and
+// fault-injected schedules; the JSON artifact round-trips; and
+// CheckCompatible rejects mismatched shapes, block sizes, sparsity
 // classes, and clusters with precise messages before any stage runs.
 
 #include "engine/compiled_plan.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "compile_execute.h"
 #include "engine/engine.h"
+#include "engine/reference.h"
 #include "engine/solver_names.h"
 #include "engine/solver_registry.h"
 #include "fusion/partial_plan.h"
 #include "matrix/generators.h"
+#include "telemetry/event_journal.h"
+#include "telemetry/event_names.h"
 #include "telemetry/metric_names.h"
 #include "telemetry/metrics.h"
 #include "workloads/queries.h"
@@ -72,6 +78,10 @@ void ExpectIdenticalRuns(const Engine::RunResult& base,
   EXPECT_EQ(a.flops, b.flops);
   EXPECT_EQ(a.max_task_memory, b.max_task_memory);
   EXPECT_EQ(a.elapsed_seconds, b.elapsed_seconds);
+  EXPECT_EQ(a.attempts, b.attempts);
+  EXPECT_EQ(a.retries_by_cause, b.retries_by_cause);
+  EXPECT_EQ(a.speculative_tasks, b.speculative_tasks);
+  EXPECT_EQ(a.degradations.size(), b.degradations.size());
 
   ASSERT_EQ(a.telemetry.size(), b.telemetry.size());
   for (std::size_t s = 0; s < a.telemetry.size(); ++s) {
@@ -85,6 +95,42 @@ void ExpectIdenticalRuns(const Engine::RunResult& base,
     EXPECT_EQ(a.telemetry[s].recovery.exhausted_items,
               b.telemetry[s].recovery.exhausted_items);
   }
+}
+
+/// Every output of `run` against the single-node oracle over `inputs`.
+void ExpectMatchesReference(const Dag& dag,
+                            const std::map<NodeId, BlockedMatrix>& inputs,
+                            const Engine::RunResult& run) {
+  ASSERT_TRUE(run.report.ok()) << run.report.status;
+  std::map<NodeId, DenseMatrix> dense;
+  for (const auto& [id, m] : inputs) dense.emplace(id, m.ToDense());
+  ASSERT_EQ(run.outputs.size(), dag.outputs().size());
+  for (const auto& [id, dm] : run.outputs) {
+    Result<DenseMatrix> expected = ReferenceEval(dag, id, dense);
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    EXPECT_LE(DenseMatrix::MaxAbsDiff(dm.blocks().ToDense(), *expected), 1e-8)
+        << "output v" << id;
+  }
+}
+
+/// Compiles `dag` once and executes that artifact three times, with a
+/// second, freshly compiled artifact executed in between; the third
+/// execute of the first artifact must be bitwise identical to the fresh
+/// artifact's only one.  Returns the fresh result for further checks.
+Engine::RunResult ExpectReplayMatchesFreshCompile(
+    const Engine& engine, const Dag& dag,
+    const std::map<NodeId, BlockedMatrix>& inputs) {
+  Result<CompiledPlan> warm = engine.Compile(dag);
+  EXPECT_TRUE(warm.ok()) << warm.status();
+  if (!warm.ok()) return {};
+  engine.Execute(*warm, inputs);
+  engine.Execute(*warm, inputs);
+  Result<CompiledPlan> fresh = engine.Compile(dag);
+  EXPECT_TRUE(fresh.ok()) << fresh.status();
+  if (!fresh.ok()) return {};
+  Engine::RunResult fresh_run = engine.Execute(*fresh, inputs);
+  ExpectIdenticalRuns(fresh_run, engine.Execute(*warm, inputs));
+  return fresh_run;
 }
 
 struct GnmfFixture {
@@ -122,7 +168,7 @@ struct DenseNmfFixture {
 
 TEST(CompiledPlanTest, CompileRecordsSolverTable) {
   GnmfFixture f;
-  Engine engine(Options());
+  const Engine engine = MakeEngine(Options());
   Result<CompiledPlan> compiled = engine.Compile(f.q.dag);
   ASSERT_TRUE(compiled.ok()) << compiled.status();
   EXPECT_EQ(compiled->system(), SystemMode::kFuseMe);
@@ -143,33 +189,32 @@ TEST(CompiledPlanTest, CompileRecordsSolverTable) {
   }
 }
 
-TEST(CompiledPlanTest, ExecuteMatchesRunOnSparseWorkloadAllSystems) {
+TEST(CompiledPlanTest, ExecuteMatchesReferenceOnSparseWorkloadAllSystems) {
   GnmfFixture f;
   for (SystemMode mode :
        {SystemMode::kFuseMe, SystemMode::kSystemDs, SystemMode::kMatFast,
         SystemMode::kDistMe}) {
     SCOPED_TRACE(std::string(SystemModeName(mode)));
-    Engine engine(Options(mode));
-    const Engine::RunResult base = engine.Run(f.q.dag, f.inputs);
-    Result<CompiledPlan> compiled = engine.Compile(f.q.dag);
-    ASSERT_TRUE(compiled.ok()) << compiled.status();
-    ExpectIdenticalRuns(base, engine.Execute(*compiled, f.inputs));
+    const Engine engine = MakeEngine(Options(mode));
+    ExpectMatchesReference(
+        f.q.dag, f.inputs,
+        ExpectReplayMatchesFreshCompile(engine, f.q.dag, f.inputs));
   }
 }
 
-TEST(CompiledPlanTest, ExecuteMatchesRunOnDenseWorkload) {
+TEST(CompiledPlanTest, ExecuteMatchesReferenceOnDenseWorkload) {
   DenseNmfFixture f;
-  Engine engine(Options());
-  const Engine::RunResult base = engine.Run(f.q.dag, f.inputs);
-  Result<CompiledPlan> compiled = engine.Compile(f.q.dag);
-  ASSERT_TRUE(compiled.ok()) << compiled.status();
-  ExpectIdenticalRuns(base, engine.Execute(*compiled, f.inputs));
+  const Engine engine = MakeEngine(Options());
+  ExpectMatchesReference(
+      f.q.dag, f.inputs,
+      ExpectReplayMatchesFreshCompile(engine, f.q.dag, f.inputs));
 }
 
-TEST(CompiledPlanTest, ExecuteMatchesRunUnderFaultSchedules) {
+TEST(CompiledPlanTest, ExecuteMatchesReferenceUnderFaultSchedules) {
   // The injector's schedule is a pure function of (seed, stage, item,
   // attempt): replaying a compiled artifact must reproduce the same
-  // failures, retries, and recovered outputs as the single-shot run.
+  // failures, retries, and recovered outputs as a fresh compile, and the
+  // recovered outputs must be the fault-free answer.
   GnmfFixture f;
   for (const auto& [seed, probability] :
        std::vector<std::pair<std::uint64_t, double>>{{7, 0.3}, {11, 0.6}}) {
@@ -179,12 +224,12 @@ TEST(CompiledPlanTest, ExecuteMatchesRunUnderFaultSchedules) {
     options.faults.task_failure_probability = probability;
     options.recovery.retry.max_attempts = 5;
     options.recovery.retry.backoff_base_seconds = 0.0;
-    Engine engine(options);
-    const Engine::RunResult base = engine.Run(f.q.dag, f.inputs);
-    ASSERT_TRUE(base.report.ok()) << base.report.status;
-    Result<CompiledPlan> compiled = engine.Compile(f.q.dag);
-    ASSERT_TRUE(compiled.ok()) << compiled.status();
-    ExpectIdenticalRuns(base, engine.Execute(*compiled, f.inputs));
+    const Engine engine = MakeEngine(options);
+    const Engine::RunResult run =
+        ExpectReplayMatchesFreshCompile(engine, f.q.dag, f.inputs);
+    ExpectMatchesReference(f.q.dag, f.inputs, run);
+    EXPECT_GT(run.report.total_retries(), 0)
+        << "the schedule must actually inject failures";
   }
 }
 
@@ -195,7 +240,7 @@ TEST(CompiledPlanTest, RepeatedExecutesAreIdenticalWithoutReResolution) {
   MetricsRegistry metrics;
   EngineOptions options = Options();
   options.metrics = &metrics;
-  Engine engine(options);
+  const Engine engine = MakeEngine(options);
   Result<CompiledPlan> compiled = engine.Compile(f.q.dag);
   ASSERT_TRUE(compiled.ok()) << compiled.status();
 
@@ -225,7 +270,7 @@ TEST(CompiledPlanTest, RepeatedExecutesAreIdenticalWithoutReResolution) {
 
 TEST(CompiledPlanTest, JsonRoundTripExecutesIdentically) {
   GnmfFixture f;
-  Engine engine(Options());
+  const Engine engine = MakeEngine(Options());
   Result<CompiledPlan> compiled = engine.Compile(f.q.dag);
   ASSERT_TRUE(compiled.ok()) << compiled.status();
   const Engine::RunResult base = engine.Execute(*compiled, f.inputs);
@@ -248,7 +293,7 @@ TEST(CompiledPlanTest, FromJsonAcceptsRetiredClusterKeys) {
   // still carry them in "cluster"; the reader must skip them and the
   // restored plan must execute exactly like the original.
   GnmfFixture f;
-  Engine engine(Options());
+  const Engine engine = MakeEngine(Options());
   Result<CompiledPlan> compiled = engine.Compile(f.q.dag);
   ASSERT_TRUE(compiled.ok()) << compiled.status();
   const Engine::RunResult base = engine.Execute(*compiled, f.inputs);
@@ -267,10 +312,10 @@ TEST(CompiledPlanTest, FromJsonAcceptsRetiredClusterKeys) {
 }
 
 TEST(CompiledPlanTest, InputBlockSizeMismatchIsAStatus) {
-  // X blocked at half the cluster block size: both the compiled path and
-  // the single-shot Run must refuse it with a Status, never abort.
+  // X blocked at half the cluster block size: Execute must refuse it with
+  // a Status, never abort.
   GnmfFixture f;
-  Engine engine(Options());
+  const Engine engine = MakeEngine(Options());
   Result<CompiledPlan> compiled = engine.Compile(f.q.dag);
   ASSERT_TRUE(compiled.ok()) << compiled.status();
 
@@ -286,39 +331,63 @@ TEST(CompiledPlanTest, InputBlockSizeMismatchIsAStatus) {
       << compat;
 
   const Engine::RunResult executed = engine.Execute(*compiled, wrong);
+  EXPECT_TRUE(executed.report.status.IsInvalidArgument())
+      << executed.report.status;
   EXPECT_EQ(executed.report.status.message(), compat.message());
+  EXPECT_TRUE(executed.outputs.empty());
   EXPECT_TRUE(executed.report.stages.empty());
-
-  const Engine::RunResult run = engine.Run(f.q.dag, wrong);
-  EXPECT_TRUE(run.report.status.IsInvalidArgument()) << run.report.status;
-  EXPECT_EQ(run.report.status.message(), compat.message());
-  EXPECT_TRUE(run.outputs.empty());
-  EXPECT_TRUE(run.report.stages.empty());
 }
 
 TEST(CompiledPlanTest, CheckCompatibleRejectsShapeMismatch) {
+  // Each binding once aborted the process (a FUSEME_CHECK in the block
+  // kernels or the blocked-matrix grid) or failed deep inside a kernel
+  // when the plan ran unchecked; Execute must refuse every one up front
+  // with a Status naming the input.
   GnmfFixture f;
-  Engine engine(Options());
+  const Engine engine = MakeEngine(Options());
   Result<CompiledPlan> compiled = engine.Compile(f.q.dag);
   ASSERT_TRUE(compiled.ok()) << compiled.status();
 
-  std::map<NodeId, BlockedMatrix> wrong = f.inputs;
-  wrong[f.q.U] =
-      BlockedMatrix::FromDense(RandomDense(10, 10, /*seed=*/91), kBs);
-  const Engine::RunResult run = engine.Execute(*compiled, wrong);
-  EXPECT_TRUE(run.report.status.IsInvalidArgument()) << run.report.status;
-  EXPECT_NE(run.report.status.message().find("of shape"), std::string::npos)
-      << run.report.status;
-  EXPECT_TRUE(run.outputs.empty());
-  EXPECT_TRUE(run.report.stages.empty())
-      << "compatibility is checked before any stage runs";
+  struct Binding {
+    NodeId id;
+    const char* name;
+    std::int64_t rows, cols;
+  };
+  for (const Binding& b : std::vector<Binding>{{f.q.X, "X", 26, 9},
+                                               {f.q.V, "V", 17, 6},
+                                               {f.q.V, "V", 26, 9},
+                                               {f.q.V, "V", 26, 3},
+                                               {f.q.X, "X", 40, 20},
+                                               {f.q.U, "U", 6, 12},
+                                               {f.q.U, "U", 3, 20}}) {
+    SCOPED_TRACE(std::string(b.name) + " bound " + std::to_string(b.rows) +
+                 "x" + std::to_string(b.cols));
+    std::map<NodeId, BlockedMatrix> wrong = f.inputs;
+    wrong[b.id] =
+        b.id == f.q.X
+            ? BlockedMatrix::FromSparse(
+                  RandomSparse(b.rows, b.cols, 0.2, /*seed=*/91, 1.0, 5.0),
+                  kBs)
+            : BlockedMatrix::FromDense(
+                  RandomDense(b.rows, b.cols, /*seed=*/91, 0.5, 1.5), kBs);
+    const Engine::RunResult run = engine.Execute(*compiled, wrong);
+    EXPECT_TRUE(run.report.status.IsInvalidArgument()) << run.report.status;
+    EXPECT_NE(run.report.status.message().find(
+                  "input v" + std::to_string(b.id) + " (" + b.name +
+                  ") of shape"),
+              std::string::npos)
+        << run.report.status;
+    EXPECT_TRUE(run.outputs.empty());
+    EXPECT_TRUE(run.report.stages.empty())
+        << "compatibility is checked before any stage runs";
+  }
 }
 
 TEST(CompiledPlanTest, CheckCompatibleRejectsSparsityClassDrift) {
   // Compiled against a density-0.2 mask; binding a fully dense matrix of
   // the same shape jumps more than one density bucket.
   GnmfFixture f;
-  Engine engine(Options());
+  const Engine engine = MakeEngine(Options());
   Result<CompiledPlan> compiled = engine.Compile(f.q.dag);
   ASSERT_TRUE(compiled.ok()) << compiled.status();
 
@@ -336,14 +405,14 @@ TEST(CompiledPlanTest, CheckCompatibleRejectsSparsityClassDrift) {
 
 TEST(CompiledPlanTest, CheckCompatibleRejectsForeignClusterAndSystem) {
   GnmfFixture f;
-  Engine compiler(Options());
+  const Engine compiler = MakeEngine(Options());
   Result<CompiledPlan> compiled = compiler.Compile(f.q.dag);
   ASSERT_TRUE(compiled.ok()) << compiled.status();
 
   EngineOptions bigger_blocks = Options();
   bigger_blocks.cluster.block_size = 16;
   const Engine::RunResult cluster_run =
-      Engine(bigger_blocks).Execute(*compiled, f.inputs);
+      MakeEngine(bigger_blocks).Execute(*compiled, f.inputs);
   EXPECT_TRUE(cluster_run.report.status.IsInvalidArgument())
       << cluster_run.report.status;
   EXPECT_NE(
@@ -352,12 +421,241 @@ TEST(CompiledPlanTest, CheckCompatibleRejectsForeignClusterAndSystem) {
       << cluster_run.report.status;
 
   const Engine::RunResult system_run =
-      Engine(Options(SystemMode::kSystemDs)).Execute(*compiled, f.inputs);
+      MakeEngine(Options(SystemMode::kSystemDs)).Execute(*compiled, f.inputs);
   EXPECT_TRUE(system_run.report.status.IsInvalidArgument())
       << system_run.report.status;
   EXPECT_NE(system_run.report.status.message().find("compiled for system"),
             std::string::npos)
       << system_run.report.status;
+}
+
+TEST(CompiledPlanTest, CheckCompatibleNamesEachMismatchedClusterField) {
+  // Every modeling field the plans and cuboids were chosen for is checked
+  // on its own, and the rejection names that field.
+  GnmfFixture f;
+  const Engine compiler = MakeEngine(Options());
+  Result<CompiledPlan> compiled = compiler.Compile(f.q.dag);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+
+  struct Field {
+    const char* name;
+    void (*mutate)(ClusterConfig*);
+  };
+  for (const Field& field : std::vector<Field>{
+           {"num_nodes", [](ClusterConfig* c) { c->num_nodes = 3; }},
+           {"tasks_per_node", [](ClusterConfig* c) { c->tasks_per_node = 4; }},
+           {"task_memory_budget",
+            [](ClusterConfig* c) { c->task_memory_budget /= 2; }},
+           {"net_bandwidth", [](ClusterConfig* c) { c->net_bandwidth *= 2; }},
+           {"compute_bandwidth",
+            [](ClusterConfig* c) { c->compute_bandwidth *= 2; }},
+           {"block_size", [](ClusterConfig* c) { c->block_size = 16; }},
+           {"timeout_seconds",
+            [](ClusterConfig* c) { c->timeout_seconds *= 2; }},
+           {"task_launch_overhead",
+            [](ClusterConfig* c) { c->task_launch_overhead += 0.5; }},
+           {"shuffle_cpu_factor",
+            [](ClusterConfig* c) { c->shuffle_cpu_factor += 0.5; }},
+           {"overlap_factor",
+            [](ClusterConfig* c) { c->overlap_factor = 0.25; }}}) {
+    SCOPED_TRACE(field.name);
+    EngineOptions options = Options();
+    field.mutate(&options.cluster);
+    const Engine::RunResult run =
+        MakeEngine(options).Execute(*compiled, f.inputs);
+    EXPECT_TRUE(run.report.status.IsInvalidArgument()) << run.report.status;
+    EXPECT_NE(run.report.status.message().find(
+                  std::string("cluster mismatch: ") + field.name + " is"),
+              std::string::npos)
+        << run.report.status;
+    EXPECT_TRUE(run.outputs.empty());
+    EXPECT_TRUE(run.report.stages.empty());
+  }
+}
+
+TEST(CompiledPlanTest, CheckCompatibleRejectsForeignExecutionMode) {
+  // An analytic artifact carries descriptor plans, a real one block plans;
+  // neither may run on an engine of the other mode.
+  GnmfFixture f;
+  EngineOptions analytic = Options();
+  analytic.analytic = true;
+  Result<CompiledPlan> from_analytic = MakeEngine(analytic).Compile(f.q.dag);
+  ASSERT_TRUE(from_analytic.ok()) << from_analytic.status();
+  Result<CompiledPlan> from_real = MakeEngine(Options()).Compile(f.q.dag);
+  ASSERT_TRUE(from_real.ok()) << from_real.status();
+
+  const Engine::RunResult on_real =
+      MakeEngine(Options()).Execute(*from_analytic, f.inputs);
+  EXPECT_TRUE(on_real.report.status.IsInvalidArgument())
+      << on_real.report.status;
+  EXPECT_NE(on_real.report.status.message().find(
+                "compiled in analytic mode; the executing engine runs in "
+                "real mode"),
+            std::string::npos)
+      << on_real.report.status;
+
+  const Engine::RunResult on_analytic =
+      MakeEngine(analytic).Execute(*from_real, {});
+  EXPECT_TRUE(on_analytic.report.status.IsInvalidArgument())
+      << on_analytic.report.status;
+  EXPECT_NE(on_analytic.report.status.message().find(
+                "compiled in real mode; the executing engine runs in "
+                "analytic mode"),
+            std::string::npos)
+      << on_analytic.report.status;
+}
+
+TEST(CompiledPlanTest, LocalThreadsAreNotPartOfCompatibility) {
+  // local_threads is result-invariant, so an artifact compiled on a
+  // serial engine runs on a parallel one, bitwise like the serial run.
+  GnmfFixture f;
+  EngineOptions serial = Options();
+  serial.cluster.local_threads = 1;
+  EngineOptions parallel = Options();
+  parallel.cluster.local_threads = 4;
+  const Engine serial_engine = MakeEngine(serial);
+  Result<CompiledPlan> compiled = serial_engine.Compile(f.q.dag);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+
+  const Status compat = compiled->CheckCompatible(parallel, f.inputs);
+  EXPECT_TRUE(compat.ok()) << compat;
+  ExpectIdenticalRuns(serial_engine.Execute(*compiled, f.inputs),
+                      MakeEngine(parallel).Execute(*compiled, f.inputs));
+}
+
+TEST(CompiledPlanTest, ArtifactExecutesOnAnotherEngineWithEqualOptions) {
+  // The artifact holds everything Execute needs: a second engine built
+  // from the same options replays it exactly like the compiling engine.
+  GnmfFixture f;
+  const Engine compiler = MakeEngine(Options());
+  Result<CompiledPlan> compiled = compiler.Compile(f.q.dag);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  ExpectIdenticalRuns(compiler.Execute(*compiled, f.inputs),
+                      MakeEngine(Options()).Execute(*compiled, f.inputs));
+}
+
+TEST(CompiledPlanTest, ArtifactOutlivesTheDagItWasCompiledFrom) {
+  // Compile copies the DAG into the artifact, so the caller's DAG may go
+  // away before the artifact executes.
+  const Engine engine = MakeEngine(Options());
+  std::map<NodeId, BlockedMatrix> inputs;
+  Result<CompiledPlan> compiled = [&] {
+    GnmfFixture f;
+    inputs = f.inputs;
+    return engine.Compile(f.q.dag);
+  }();
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  ExpectMatchesReference(compiled->dag(), inputs,
+                         engine.Execute(*compiled, inputs));
+}
+
+TEST(CompiledPlanTest, ExecuteRebindsNewDataOfTheCompiledClass) {
+  // One artifact, two data sets of the compiled shapes and density class:
+  // each execute computes its own inputs' answer.
+  GnmfFixture f;
+  const Engine engine = MakeEngine(Options());
+  Result<CompiledPlan> compiled = engine.Compile(f.q.dag);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+
+  std::map<NodeId, BlockedMatrix> other;
+  other[f.q.X] = BlockedMatrix::FromSparse(
+      RandomSparse(26, 20, 0.2, /*seed=*/61, 1.0, 5.0), kBs);
+  other[f.q.V] =
+      BlockedMatrix::FromDense(RandomDense(26, 6, /*seed=*/62, 0.5, 1.5), kBs);
+  other[f.q.U] =
+      BlockedMatrix::FromDense(RandomDense(6, 20, /*seed=*/63, 0.5, 1.5), kBs);
+
+  const Engine::RunResult first = engine.Execute(*compiled, f.inputs);
+  const Engine::RunResult second = engine.Execute(*compiled, other);
+  ExpectMatchesReference(f.q.dag, f.inputs, first);
+  ExpectMatchesReference(f.q.dag, other, second);
+  ASSERT_EQ(first.outputs.size(), second.outputs.size());
+  for (const auto& [id, dm] : first.outputs) {
+    EXPECT_GT(DenseMatrix::MaxAbsDiff(dm.blocks().ToDense(),
+                                      second.outputs.at(id).blocks().ToDense()),
+              0.0)
+        << "output v" << id << " must follow the bound data";
+  }
+}
+
+/// Structural plan-set verifications recorded so far.
+std::int64_t PlanSetChecks(const MetricsRegistry& metrics) {
+  const MetricsSnapshot snapshot = metrics.Snapshot();
+  const MetricSample* sample = snapshot.Find(metric_names::kVerifierChecks,
+                                             {{"artifact", "plan_set"}});
+  return sample != nullptr ? sample->counter_value : 0;
+}
+
+TEST(CompiledPlanTest, ExecuteReVerifiesOnlyUnverifiedOrParanoid) {
+  // Compile caches the structural verification; Execute replays it, and
+  // re-runs the verifier only for an artifact compiled unverified or on a
+  // kParanoid engine.
+  GnmfFixture f;
+  MetricsRegistry metrics;
+  EngineOptions planner = Options();
+  planner.metrics = &metrics;
+  const Engine planner_engine = MakeEngine(planner);
+
+  Result<CompiledPlan> verified = planner_engine.Compile(f.q.dag);
+  ASSERT_TRUE(verified.ok()) << verified.status();
+  EXPECT_TRUE(verified->table().verified);
+  const std::int64_t after_compile = PlanSetChecks(metrics);
+  EXPECT_GT(after_compile, 0);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(planner_engine.Execute(*verified, f.inputs).ok());
+  }
+  EXPECT_EQ(PlanSetChecks(metrics), after_compile)
+      << "a verified artifact is not re-verified";
+
+  EngineOptions off = planner;
+  off.verify = VerifyLevel::kOff;
+  Result<CompiledPlan> unverified = MakeEngine(off).Compile(f.q.dag);
+  ASSERT_TRUE(unverified.ok()) << unverified.status();
+  EXPECT_FALSE(unverified->table().verified);
+  EXPECT_EQ(PlanSetChecks(metrics), after_compile);
+  ASSERT_TRUE(planner_engine.Execute(*unverified, f.inputs).ok());
+  EXPECT_EQ(PlanSetChecks(metrics), after_compile + 1)
+      << "an unverified artifact is verified on every execute";
+  ASSERT_TRUE(MakeEngine(off).Execute(*unverified, f.inputs).ok());
+  EXPECT_EQ(PlanSetChecks(metrics), after_compile + 1)
+      << "a kOff engine never verifies";
+
+  EngineOptions paranoid = planner;
+  paranoid.verify = VerifyLevel::kParanoid;
+  ASSERT_TRUE(MakeEngine(paranoid).Execute(*verified, f.inputs).ok());
+  EXPECT_EQ(PlanSetChecks(metrics), after_compile + 2)
+      << "a kParanoid engine re-verifies even a verified artifact";
+}
+
+TEST(CompiledPlanTest, RejectedExecuteEmitsNoJournalEvents) {
+  // CheckCompatible runs before the run-start event: a refused binding
+  // leaves the flight recorder untouched, an accepted one brackets the
+  // run with start and finish.
+  GnmfFixture f;
+  EngineOptions options = Options();
+  options.observability.journal_capacity = 256;
+  const Engine engine = MakeEngine(options);
+  ASSERT_NE(engine.journal(), nullptr);
+  Result<CompiledPlan> compiled = engine.Compile(f.q.dag);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+
+  std::map<NodeId, BlockedMatrix> wrong = f.inputs;
+  wrong[f.q.U] =
+      BlockedMatrix::FromDense(RandomDense(6, 12, /*seed=*/93, 0.5, 1.5), kBs);
+  const std::int64_t before = engine.journal()->total_emitted();
+  EXPECT_TRUE(
+      engine.Execute(*compiled, wrong).report.status.IsInvalidArgument());
+  EXPECT_EQ(engine.journal()->total_emitted(), before);
+
+  ASSERT_TRUE(engine.Execute(*compiled, f.inputs).ok());
+  const std::vector<JournalEvent> events = engine.journal()->Snapshot();
+  ASSERT_GE(events.size(), 2u);
+  const auto first = std::find_if(
+      events.begin(), events.end(),
+      [&](const JournalEvent& e) { return e.seq >= before; });
+  ASSERT_NE(first, events.end());
+  EXPECT_EQ(first->id, event_names::kRunStart);
+  EXPECT_EQ(events.back().id, event_names::kRunFinish);
 }
 
 TEST(CompiledPlanTest, TamperedSolverIdFailsFromJson) {
@@ -367,7 +665,7 @@ TEST(CompiledPlanTest, TamperedSolverIdFailsFromJson) {
   FusionPlanSet full;
   full.plans.emplace_back(
       &q.dag, std::vector<NodeId>{q.vT, q.mm, q.add, q.log, q.mul}, q.mul);
-  Engine engine(Options());
+  const Engine engine = MakeEngine(Options());
   Result<CompiledPlan> compiled =
       engine.CompileWithPlans(q.dag, full, OperatorKind::kCfo);
   ASSERT_TRUE(compiled.ok()) << compiled.status();
@@ -401,7 +699,7 @@ TEST(CompiledPlanTest, CompileWithPlansRejectsMalformedPlan) {
   // would refuse this, so CompileWithPlans must too.
   bad.plans.push_back(
       PartialPlan::UncheckedForTest(&q.dag, {q.vT, q.mm}, q.mul));
-  Engine engine(Options());
+  const Engine engine = MakeEngine(Options());
   Result<CompiledPlan> compiled = engine.CompileWithPlans(q.dag, bad);
   ASSERT_FALSE(compiled.ok());
   EXPECT_TRUE(compiled.status().IsInvalidArgument()) << compiled.status();

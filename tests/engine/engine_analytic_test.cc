@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "compile_execute.h"
 #include "engine/compiled_plan.h"
 #include "engine/engine.h"
 #include "matrix/generators.h"
@@ -19,27 +20,10 @@ EngineOptions PaperOptions(SystemMode mode) {
   return options;
 }
 
-// The compiled counterpart of the historical RunWithPlans calls these
-// tests were written against: freeze the caller plan set into an artifact
-// once, then execute it.
-Engine::RunResult CompileExecute(const Engine& engine, const Dag& dag,
-                                 const FusionPlanSet& plans,
-                                 const std::map<NodeId, BlockedMatrix>& inputs,
-                                 OperatorKind forced) {
-  Result<CompiledPlan> compiled = engine.CompileWithPlans(dag, plans, forced);
-  if (!compiled.ok()) {
-    ADD_FAILURE() << compiled.status();
-    Engine::RunResult out;
-    out.report.status = compiled.status();
-    return out;
-  }
-  return engine.Execute(*compiled, inputs);
-}
-
 TEST(EngineAnalyticTest, RunsWithoutBoundInputs) {
   GnmfQuery q = BuildGnmf(480000, 17700, 200, /*x_nnz=*/100480507);
-  Engine engine(PaperOptions(SystemMode::kFuseMe));
-  auto run = engine.Run(q.dag, {});
+  Engine engine = MakeEngine(PaperOptions(SystemMode::kFuseMe));
+  auto run = CompileAndExecute(engine, q.dag, {});
   ASSERT_TRUE(run.report.ok()) << run.report.status;
   EXPECT_GT(run.report.elapsed_seconds, 0.0);
   EXPECT_GT(run.report.consolidation_bytes, 0);
@@ -59,8 +43,8 @@ TEST(EngineAnalyticTest, FuseMeBeatsBaselinesOnGnmf) {
   for (SystemMode mode :
        {SystemMode::kFuseMe, SystemMode::kSystemDs, SystemMode::kMatFast,
         SystemMode::kDistMe}) {
-    Engine engine(PaperOptions(mode));
-    auto run = engine.Run(q.dag, {});
+    Engine engine = MakeEngine(PaperOptions(mode));
+    auto run = CompileAndExecute(engine, q.dag, {});
     ASSERT_TRUE(run.report.ok())
         << SystemModeName(mode) << ": " << run.report.status;
     reports[mode] = run.report;
@@ -87,10 +71,10 @@ TEST(EngineAnalyticTest, Fig12OperatorOrdering) {
       &q.dag, std::vector<NodeId>{q.vT, q.mm, q.add, q.log, q.mul}, q.mul);
   full.description = "single fused operator";
 
-  Engine engine(PaperOptions(SystemMode::kFuseMe));
-  auto cfo = CompileExecute(engine, q.dag, full, {}, OperatorKind::kCfo);
-  auto bfo = CompileExecute(engine, q.dag, full, {}, OperatorKind::kBfo);
-  auto rfo = CompileExecute(engine, q.dag, full, {}, OperatorKind::kRfo);
+  Engine engine = MakeEngine(PaperOptions(SystemMode::kFuseMe));
+  auto cfo = CompileAndExecute(engine, q.dag, full, {}, OperatorKind::kCfo);
+  auto bfo = CompileAndExecute(engine, q.dag, full, {}, OperatorKind::kBfo);
+  auto rfo = CompileAndExecute(engine, q.dag, full, {}, OperatorKind::kRfo);
   ASSERT_TRUE(cfo.report.ok()) << cfo.report.status;
   ASSERT_TRUE(bfo.report.ok()) << bfo.report.status;
   ASSERT_TRUE(rfo.report.ok()) << rfo.report.status;
@@ -108,10 +92,10 @@ TEST(EngineAnalyticTest, BfoOomsWhenSidesLarge) {
   FusionPlanSet full;
   full.plans.emplace_back(
       &q.dag, std::vector<NodeId>{q.vT, q.mm, q.add, q.log, q.mul}, q.mul);
-  Engine engine(PaperOptions(SystemMode::kFuseMe));
-  auto bfo = CompileExecute(engine, q.dag, full, {}, OperatorKind::kBfo);
+  Engine engine = MakeEngine(PaperOptions(SystemMode::kFuseMe));
+  auto bfo = CompileAndExecute(engine, q.dag, full, {}, OperatorKind::kBfo);
   EXPECT_TRUE(bfo.report.status.IsOutOfMemory());
-  auto cfo = CompileExecute(engine, q.dag, full, {}, OperatorKind::kCfo);
+  auto cfo = CompileAndExecute(engine, q.dag, full, {}, OperatorKind::kCfo);
   EXPECT_TRUE(cfo.report.ok()) << "CFO adapts (P,Q,R) and survives";
 }
 
@@ -137,10 +121,10 @@ TEST(EngineAnalyticTest, AnalyticTracksRealMeasurement) {
   full.plans.emplace_back(
       &q.dag, std::vector<NodeId>{q.vT, q.mm, q.add, q.log, q.mul}, q.mul);
 
-  auto real = CompileExecute(Engine(real_options), q.dag, full, inputs,
-                             OperatorKind::kCfo);
-  auto analytic = CompileExecute(Engine(analytic_options), q.dag, full, {},
-                                 OperatorKind::kCfo);
+  auto real = CompileAndExecute(MakeEngine(real_options), q.dag, full,
+                                inputs, OperatorKind::kCfo);
+  auto analytic = CompileAndExecute(MakeEngine(analytic_options), q.dag,
+                                    full, {}, OperatorKind::kCfo);
   ASSERT_TRUE(real.report.ok()) << real.report.status;
   ASSERT_TRUE(analytic.report.ok()) << analytic.report.status;
   const double real_bytes =
@@ -162,8 +146,8 @@ TEST(EngineAnalyticTest, MorеNodesFaster) {
   for (int nodes : {2, 4, 8}) {
     EngineOptions options = PaperOptions(SystemMode::kFuseMe);
     options.cluster.num_nodes = nodes;
-    Engine engine(options);
-    auto run = CompileExecute(engine, q.dag, full, {}, OperatorKind::kCfo);
+    Engine engine = MakeEngine(options);
+    auto run = CompileAndExecute(engine, q.dag, full, {}, OperatorKind::kCfo);
     ASSERT_TRUE(run.report.ok());
     EXPECT_LT(run.report.elapsed_seconds, prev);
     prev = run.report.elapsed_seconds;

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "compile_execute.h"
 #include "engine/compiled_plan.h"
 #include "engine/engine.h"
 #include "engine/reference.h"
@@ -48,15 +49,17 @@ RandomQuery MakeRandomQuery(std::uint64_t seed) {
     const std::int64_t rows = dims[pick(0, 4)];
     const std::int64_t cols = dims[pick(0, 4)];
     const bool sparse = pick(0, 2) == 0;
-    NodeId id = *q.dag.AddInput("L" + std::to_string(i), rows, cols,
-                                sparse ? rows * cols / 8 : -1);
     DenseMatrix value =
         sparse ? RandomSparse(rows, cols, 0.12, seed * 31 + i, 0.3, 1.2)
                      .ToDense()
                : RandomDense(rows, cols, seed * 31 + i, 0.3, 1.2);
+    const SparseMatrix as_sparse = SparseMatrix::FromDense(value);
+    // Declare the bound value's own nnz: Execute refuses an input whose
+    // sparsity class differs from the one the plan was compiled for.
+    NodeId id = *q.dag.AddInput("L" + std::to_string(i), rows, cols,
+                                sparse ? as_sparse.nnz() : -1);
     q.dense[id] = value;
-    q.blocked[id] = sparse ? BlockedMatrix::FromSparse(
-                                 SparseMatrix::FromDense(value), kBs)
+    q.blocked[id] = sparse ? BlockedMatrix::FromSparse(as_sparse, kBs)
                            : BlockedMatrix::FromDense(value, kBs);
     pool.push_back({id, rows, cols});
   }
@@ -154,8 +157,8 @@ TEST_P(EngineFuzz, AllSystemsMatchOracle) {
        {SystemMode::kFuseMe, SystemMode::kSystemDs, SystemMode::kMatFast,
         SystemMode::kDistMe, SystemMode::kTensorFlow}) {
     options.system = mode;
-    Engine engine(options);
-    auto run = engine.Run(q.dag, q.blocked);
+    Engine engine = MakeEngine(options);
+    auto run = CompileAndExecute(engine, q.dag, q.blocked);
     ASSERT_TRUE(run.report.ok())
         << SystemModeName(mode) << " seed " << GetParam() << ": "
         << run.report.status;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "compile_execute.h"
 #include "engine/engine.h"
 #include "engine/reference.h"
 #include "matrix/generators.h"
@@ -42,8 +43,8 @@ TEST(CpmmTest, ForcedCpmmMatchesReference) {
 
   FusionPlanSet plans;
   plans.plans.emplace_back(&dag, std::vector<NodeId>{mm}, mm);
-  Engine engine(SmallOptions(SystemMode::kSystemDs));
-  auto run = engine.RunWithPlans(dag, plans, inputs, OperatorKind::kCpmm);
+  Engine engine = MakeEngine(SmallOptions(SystemMode::kSystemDs));
+  auto run = CompileAndExecute(engine, dag, plans, inputs, OperatorKind::kCpmm);
   ASSERT_TRUE(run.report.ok()) << run.report.status;
   EXPECT_LE(DenseMatrix::MaxAbsDiff(run.outputs.at(mm).blocks().ToDense(),
                                     *expected),
@@ -58,8 +59,8 @@ TEST(CpmmTest, AnalyticSystemDsSurvivesHugeSides) {
   EngineOptions options;
   options.system = SystemMode::kSystemDs;
   options.analytic = true;
-  Engine engine(options);
-  auto run = engine.Run(q.dag, {});
+  Engine engine = MakeEngine(options);
+  auto run = CompileAndExecute(engine, q.dag, {});
   ASSERT_TRUE(run.report.ok()) << run.report.status;
   bool used_cpmm = false;
   for (const StageStats& s : run.report.stages) {
@@ -78,8 +79,8 @@ TEST(NarrowDependencyTest, CoPartitionedEwiseStageIsShuffleFree) {
   std::map<NodeId, BlockedMatrix> inputs;
   inputs[x] = BlockedMatrix::FromSparse(RandomSparse(32, 32, 0.1, 3), kBs);
   inputs[u] = BlockedMatrix::FromDense(RandomDense(32, 32, 4), kBs);
-  Engine engine(SmallOptions(SystemMode::kFuseMe));
-  auto run = engine.Run(dag, inputs);
+  Engine engine = MakeEngine(SmallOptions(SystemMode::kFuseMe));
+  auto run = CompileAndExecute(engine, dag, inputs);
   ASSERT_TRUE(run.report.ok());
   EXPECT_EQ(run.report.consolidation_bytes, 0)
       << "co-partitioned element-wise inputs must not shuffle";
@@ -92,8 +93,8 @@ TEST(NarrowDependencyTest, TransposeStageStillShuffles) {
   dag.MarkOutput(t);
   std::map<NodeId, BlockedMatrix> inputs;
   inputs[x] = BlockedMatrix::FromDense(RandomDense(32, 16, 5), kBs);
-  Engine engine(SmallOptions(SystemMode::kFuseMe));
-  auto run = engine.Run(dag, inputs);
+  Engine engine = MakeEngine(SmallOptions(SystemMode::kFuseMe));
+  auto run = CompileAndExecute(engine, dag, inputs);
   ASSERT_TRUE(run.report.ok());
   EXPECT_GT(run.report.consolidation_bytes, 0)
       << "reorganization is a wide dependency";
@@ -110,8 +111,8 @@ TEST(TensorFlowModeTest, MatchesReferenceOnNmf) {
   inputs[q.V] = BlockedMatrix::FromDense(v, kBs);
   auto expected = ReferenceEval(q.dag, q.mul,
                                 {{q.X, x.ToDense()}, {q.U, u}, {q.V, v}});
-  Engine engine(SmallOptions(SystemMode::kTensorFlow));
-  auto run = engine.Run(q.dag, inputs);
+  Engine engine = MakeEngine(SmallOptions(SystemMode::kTensorFlow));
+  auto run = CompileAndExecute(engine, q.dag, inputs);
   ASSERT_TRUE(run.report.ok()) << run.report.status;
   EXPECT_LE(DenseMatrix::MaxAbsDiff(run.outputs.at(q.mul).blocks().ToDense(),
                                     *expected),
@@ -145,8 +146,8 @@ TEST(GnmfChainTest, UnoptimizedChainCostsMoreAnalytically) {
     EngineOptions options;
     options.analytic = true;
     options.system = SystemMode::kMatFast;
-    Engine engine(options);
-    auto run = engine.Run(q.dag, {});
+    Engine engine = MakeEngine(options);
+    auto run = CompileAndExecute(engine, q.dag, {});
     ASSERT_TRUE(run.report.ok()) << run.report.status;
     costs[chain_opt ? 0 : 1] = run.report.elapsed_seconds;
   }
@@ -186,8 +187,9 @@ TEST(ForcedOperatorTest, CpmmOnFusedPlanMatchesOthers) {
   FusionPlanSet full;
   full.plans.emplace_back(
       &q.dag, std::vector<NodeId>{q.vT, q.mm, q.add, q.log, q.mul}, q.mul);
-  Engine engine(SmallOptions(SystemMode::kFuseMe));
-  auto run = engine.RunWithPlans(q.dag, full, inputs, OperatorKind::kCpmm);
+  Engine engine = MakeEngine(SmallOptions(SystemMode::kFuseMe));
+  auto run =
+      CompileAndExecute(engine, q.dag, full, inputs, OperatorKind::kCpmm);
   ASSERT_TRUE(run.report.ok()) << run.report.status;
   EXPECT_LE(DenseMatrix::MaxAbsDiff(run.outputs.at(q.mul).blocks().ToDense(),
                                     *expected),

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "compile_execute.h"
 #include "engine/reference.h"
 #include "matrix/generators.h"
 #include "workloads/queries.h"
@@ -52,8 +53,8 @@ class AllSystems : public ::testing::TestWithParam<SystemMode> {};
 
 TEST_P(AllSystems, GnmfStepMatchesReference) {
   GnmfFixture f;
-  Engine engine(Options(GetParam()));
-  Engine::RunResult run = engine.Run(f.q.dag, f.inputs);
+  Engine engine = MakeEngine(Options(GetParam()));
+  Engine::RunResult run = CompileAndExecute(engine, f.q.dag, f.inputs);
   ASSERT_TRUE(run.report.ok()) << run.report.status;
   ASSERT_EQ(run.outputs.size(), 2u);
   EXPECT_LE(DenseMatrix::MaxAbsDiff(
@@ -81,8 +82,8 @@ TEST_P(AllSystems, AlsLossMatchesReference) {
                                 {{q.X, x.ToDense()}, {q.U, u}, {q.V, v}});
   ASSERT_TRUE(expected.ok());
 
-  Engine engine(Options(GetParam()));
-  Engine::RunResult run = engine.Run(q.dag, inputs);
+  Engine engine = MakeEngine(Options(GetParam()));
+  Engine::RunResult run = CompileAndExecute(engine, q.dag, inputs);
   ASSERT_TRUE(run.report.ok()) << run.report.status;
   EXPECT_NEAR(run.outputs.at(q.loss).blocks().ToDense()(0, 0),
               (*expected)(0, 0), 1e-8);
@@ -99,10 +100,10 @@ INSTANTIATE_TEST_SUITE_P(Systems, AllSystems,
 
 TEST(EngineTest, FuseMeUsesFewerStagesThanDistMe) {
   GnmfFixture f;
-  Engine fuseme(Options(SystemMode::kFuseMe));
-  Engine distme(Options(SystemMode::kDistMe));
-  auto run_f = fuseme.Run(f.q.dag, f.inputs);
-  auto run_d = distme.Run(f.q.dag, f.inputs);
+  Engine fuseme = MakeEngine(Options(SystemMode::kFuseMe));
+  Engine distme = MakeEngine(Options(SystemMode::kDistMe));
+  auto run_f = CompileAndExecute(fuseme, f.q.dag, f.inputs);
+  auto run_d = CompileAndExecute(distme, f.q.dag, f.inputs);
   ASSERT_TRUE(run_f.report.ok());
   ASSERT_TRUE(run_d.report.ok());
   EXPECT_LT(run_f.report.stages.size(), run_d.report.stages.size());
@@ -112,8 +113,8 @@ TEST(EngineTest, MissingInputReported) {
   GnmfFixture f;
   std::map<NodeId, BlockedMatrix> partial = f.inputs;
   partial.erase(f.q.U);
-  Engine engine(Options(SystemMode::kFuseMe));
-  auto run = engine.Run(f.q.dag, partial);
+  Engine engine = MakeEngine(Options(SystemMode::kFuseMe));
+  auto run = CompileAndExecute(engine, f.q.dag, partial);
   EXPECT_TRUE(run.report.status.IsInvalidArgument());
   EXPECT_TRUE(run.outputs.empty());
 }
@@ -122,8 +123,8 @@ TEST(EngineTest, TimeoutSurfacesAsTo) {
   GnmfFixture f;
   EngineOptions options = Options(SystemMode::kFuseMe);
   options.cluster.timeout_seconds = 1e-9;
-  Engine engine(options);
-  auto run = engine.Run(f.q.dag, f.inputs);
+  Engine engine = MakeEngine(options);
+  auto run = CompileAndExecute(engine, f.q.dag, f.inputs);
   EXPECT_TRUE(run.report.status.IsTimedOut());
   EXPECT_NE(run.report.Summary().find("T.O."), std::string::npos);
 }
@@ -132,8 +133,8 @@ TEST(EngineTest, OomSurfacesFromTinyBudget) {
   GnmfFixture f;
   EngineOptions options = Options(SystemMode::kMatFast);
   options.cluster.task_memory_budget = 128;  // nothing fits
-  Engine engine(options);
-  auto run = engine.Run(f.q.dag, f.inputs);
+  Engine engine = MakeEngine(options);
+  auto run = CompileAndExecute(engine, f.q.dag, f.inputs);
   EXPECT_TRUE(run.report.status.IsOutOfMemory());
   EXPECT_NE(run.report.Summary().find("O.O.M."), std::string::npos);
 }
@@ -159,7 +160,7 @@ TEST(EngineTest, ForcedOperatorsAgreeNumerically) {
                           q.mul);
   full.description = "single full-query plan";
 
-  Engine engine(Options(SystemMode::kFuseMe));
+  Engine engine = MakeEngine(Options(SystemMode::kFuseMe));
   for (OperatorKind kind :
        {OperatorKind::kCfo, OperatorKind::kBfo, OperatorKind::kRfo}) {
     auto compiled = engine.CompileWithPlans(q.dag, full, kind);
@@ -174,8 +175,8 @@ TEST(EngineTest, ForcedOperatorsAgreeNumerically) {
 
 TEST(EngineTest, ReportSummaryReadsWell) {
   GnmfFixture f;
-  Engine engine(Options(SystemMode::kFuseMe));
-  auto run = engine.Run(f.q.dag, f.inputs);
+  Engine engine = MakeEngine(Options(SystemMode::kFuseMe));
+  auto run = CompileAndExecute(engine, f.q.dag, f.inputs);
   ASSERT_TRUE(run.report.ok());
   std::string summary = run.report.Summary();
   EXPECT_NE(summary.find("shuffled"), std::string::npos);

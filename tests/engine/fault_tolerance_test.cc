@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "compile_execute.h"
 #include "engine/engine.h"
 #include "engine/reference.h"
 #include "matrix/generators.h"
@@ -65,8 +66,8 @@ std::int64_t ExpectedRetries(const FaultInjector& injector, int stage,
 
 TEST(FaultToleranceTest, CleanRunsReportNoRecovery) {
   GnmfFixture f;
-  Engine engine(Options(SystemMode::kFuseMe));
-  auto run = engine.Run(f.q.dag, f.inputs);
+  Engine engine = MakeEngine(Options(SystemMode::kFuseMe));
+  auto run = CompileAndExecute(engine, f.q.dag, f.inputs);
   ASSERT_TRUE(run.ok()) << run.status();
   EXPECT_GT(run.report.attempts, 0);  // first tries are counted
   EXPECT_EQ(run.report.total_retries(), 0);
@@ -77,8 +78,8 @@ TEST(FaultToleranceTest, CleanRunsReportNoRecovery) {
 
 TEST(FaultToleranceTest, FailureScheduleSweepIsBitwiseIdentical) {
   GnmfFixture f;
-  Engine clean_engine(Options(SystemMode::kFuseMe));
-  auto clean = clean_engine.Run(f.q.dag, f.inputs);
+  Engine clean_engine = MakeEngine(Options(SystemMode::kFuseMe));
+  auto clean = CompileAndExecute(clean_engine, f.q.dag, f.inputs);
   ASSERT_TRUE(clean.ok()) << clean.status();
 
   constexpr int kMaxAttempts = 8;
@@ -92,7 +93,7 @@ TEST(FaultToleranceTest, FailureScheduleSweepIsBitwiseIdentical) {
       options.recovery.retry.max_attempts = kMaxAttempts;
       Result<Engine> engine = Engine::Create(options);
       ASSERT_TRUE(engine.ok()) << engine.status();
-      auto faulted = engine->Run(f.q.dag, f.inputs);
+      auto faulted = CompileAndExecute(*engine, f.q.dag, f.inputs);
       ASSERT_TRUE(faulted.ok()) << faulted.status();
 
       // Numeric results are bitwise identical to the clean run's.
@@ -153,8 +154,8 @@ TEST(FaultToleranceTest, ExhaustedAttemptBudgetFailsTheRun) {
   options.faults.seed = 3;
   options.faults.task_failure_probability = 1.0;  // every attempt dies
   options.recovery.retry.max_attempts = 2;
-  Engine engine(options);
-  auto run = engine.Run(f.q.dag, f.inputs);
+  Engine engine = MakeEngine(options);
+  auto run = CompileAndExecute(engine, f.q.dag, f.inputs);
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), StatusCode::kInternal);
   EXPECT_NE(run.status().message().find("attempt budget"),
@@ -183,9 +184,11 @@ TEST(FaultToleranceTest, OomDegradationCompletesRealWorkload) {
 
   // Find a budget the broadcast operator exceeds but the cuboid operator
   // (measured peak and modeled MemEst alike) fits with room to spare.
-  Engine roomy(Options(SystemMode::kFuseMe));
-  auto bfo_probe = roomy.RunWithPlans(q.dag, full, inputs, OperatorKind::kBfo);
-  auto cfo_probe = roomy.RunWithPlans(q.dag, full, inputs, OperatorKind::kCfo);
+  Engine roomy = MakeEngine(Options(SystemMode::kFuseMe));
+  auto bfo_probe =
+      CompileAndExecute(roomy, q.dag, full, inputs, OperatorKind::kBfo);
+  auto cfo_probe =
+      CompileAndExecute(roomy, q.dag, full, inputs, OperatorKind::kCfo);
   ASSERT_TRUE(bfo_probe.ok()) << bfo_probe.status();
   ASSERT_TRUE(cfo_probe.ok()) << cfo_probe.status();
   auto cfo_pred = roomy.PredictStage(full.plans.front(), OperatorKind::kCfo);
@@ -201,16 +204,17 @@ TEST(FaultToleranceTest, OomDegradationCompletesRealWorkload) {
   // Without recovery the squeezed budget is a terminal O.O.M. cell.
   EngineOptions squeezed = Options(SystemMode::kFuseMe);
   squeezed.cluster.task_memory_budget = budget;
-  Engine strict(squeezed);
-  auto failed = strict.RunWithPlans(q.dag, full, inputs, OperatorKind::kBfo);
+  Engine strict = MakeEngine(squeezed);
+  auto failed =
+      CompileAndExecute(strict, q.dag, full, inputs, OperatorKind::kBfo);
   ASSERT_TRUE(failed.status().IsOutOfMemory()) << failed.status();
 
   // With the ladder enabled the same forced-BFO cell completes — and the
   // numbers still match the single-node reference.
   squeezed.recovery.degrade_on_oom = true;
-  Engine degrading(squeezed);
+  Engine degrading = MakeEngine(squeezed);
   auto recovered =
-      degrading.RunWithPlans(q.dag, full, inputs, OperatorKind::kBfo);
+      CompileAndExecute(degrading, q.dag, full, inputs, OperatorKind::kBfo);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   ASSERT_FALSE(recovered.report.degradations.empty());
   EXPECT_NE(recovered.report.degradations.front().from.find("BFO"),
@@ -232,13 +236,14 @@ TEST(FaultToleranceTest, OomDegradationCompletesPaperScaleBfo) {
       &q.dag, std::vector<NodeId>{q.vT, q.mm, q.add, q.log, q.mul}, q.mul);
   EngineOptions options;
   options.analytic = true;
-  Engine strict(options);
-  auto failed = strict.RunWithPlans(q.dag, full, {}, OperatorKind::kBfo);
+  Engine strict = MakeEngine(options);
+  auto failed = CompileAndExecute(strict, q.dag, full, {}, OperatorKind::kBfo);
   ASSERT_TRUE(failed.status().IsOutOfMemory()) << failed.status();
 
   options.recovery.degrade_on_oom = true;
-  Engine degrading(options);
-  auto recovered = degrading.RunWithPlans(q.dag, full, {}, OperatorKind::kBfo);
+  Engine degrading = MakeEngine(options);
+  auto recovered =
+      CompileAndExecute(degrading, q.dag, full, {}, OperatorKind::kBfo);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   ASSERT_FALSE(recovered.report.degradations.empty());
   EXPECT_NE(recovered.report.degradations.front().from.find("BFO"),
@@ -263,17 +268,18 @@ TEST(FaultToleranceTest, InjectedOomConsumedOnceAndDegraded) {
   options.faults.oom_stages = {0};
 
   // Without the ladder, the injected OOM is terminal — the paper's cell.
-  Engine strict(options);
-  auto failed = strict.RunWithPlans(q.dag, full, inputs, OperatorKind::kBfo);
+  Engine strict = MakeEngine(options);
+  auto failed =
+      CompileAndExecute(strict, q.dag, full, inputs, OperatorKind::kBfo);
   ASSERT_TRUE(failed.status().IsOutOfMemory()) << failed.status();
   EXPECT_NE(failed.status().message().find("injected"), std::string::npos);
 
   // With it, the stage re-runs degraded and the run completes; the
   // injection fires only on the stage's first attempt.
   options.recovery.degrade_on_oom = true;
-  Engine degrading(options);
+  Engine degrading = MakeEngine(options);
   auto recovered =
-      degrading.RunWithPlans(q.dag, full, inputs, OperatorKind::kBfo);
+      CompileAndExecute(degrading, q.dag, full, inputs, OperatorKind::kBfo);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   ASSERT_FALSE(recovered.report.telemetry.empty());
   EXPECT_EQ(recovered.report.telemetry.front().recovery.injected_oom, 1);
@@ -290,8 +296,8 @@ TEST(FaultToleranceTest, StragglersExtendElapsedAndSpeculationCuts) {
   // Zero launch overhead makes the speculative copy strictly cheaper than
   // riding out a 100x straggler, so speculation must win every time.
   base.cluster.task_launch_overhead = 0.0;
-  Engine clean_engine(base);
-  auto clean = clean_engine.Run(f.q.dag, f.inputs);
+  Engine clean_engine = MakeEngine(base);
+  auto clean = CompileAndExecute(clean_engine, f.q.dag, f.inputs);
   ASSERT_TRUE(clean.ok()) << clean.status();
 
   EngineOptions straggling = base;
@@ -302,8 +308,10 @@ TEST(FaultToleranceTest, StragglersExtendElapsedAndSpeculationCuts) {
   EngineOptions no_speculation = straggling;
   no_speculation.recovery.speculative_execution = false;
 
-  auto speculated = Engine(straggling).Run(f.q.dag, f.inputs);
-  auto rode_out = Engine(no_speculation).Run(f.q.dag, f.inputs);
+  auto speculated =
+      CompileAndExecute(MakeEngine(straggling), f.q.dag, f.inputs);
+  auto rode_out =
+      CompileAndExecute(MakeEngine(no_speculation), f.q.dag, f.inputs);
   ASSERT_TRUE(speculated.ok()) << speculated.status();
   ASSERT_TRUE(rode_out.ok()) << rode_out.status();
 
@@ -334,12 +342,12 @@ TEST(FaultToleranceTest, BackoffTripsTheRunDeadlineDeterministically) {
   options.recovery.retry.backoff_base_seconds = 3600.0;
   options.recovery.retry.backoff_max_seconds = 3600.0;
   options.cluster.timeout_seconds = 1800.0;
-  Engine engine(options);
-  auto first = engine.Run(f.q.dag, f.inputs);
+  Engine engine = MakeEngine(options);
+  auto first = CompileAndExecute(engine, f.q.dag, f.inputs);
   ASSERT_TRUE(first.status().IsTimedOut()) << first.status();
   EXPECT_NE(first.Summary().find("T.O."), std::string::npos);
   // Deterministic: the same schedule trips at the same point every run.
-  auto second = engine.Run(f.q.dag, f.inputs);
+  auto second = CompileAndExecute(engine, f.q.dag, f.inputs);
   EXPECT_TRUE(second.status().IsTimedOut());
   EXPECT_EQ(first.report.elapsed_seconds, second.report.elapsed_seconds);
   EXPECT_EQ(first.report.total_retries(), second.report.total_retries());
@@ -353,8 +361,8 @@ TEST(FaultToleranceTest, TracerRecordsFaultSpans) {
   options.faults.task_failure_probability = 0.2;
   options.recovery.retry.max_attempts = 8;
   options.tracer = &tracer;
-  Engine engine(options);
-  auto run = engine.Run(f.q.dag, f.inputs);
+  Engine engine = MakeEngine(options);
+  auto run = CompileAndExecute(engine, f.q.dag, f.inputs);
   ASSERT_TRUE(run.ok()) << run.status();
   ASSERT_GT(run.report.total_retries(), 0);
 
@@ -373,8 +381,8 @@ TEST(FaultToleranceTest, MetricsCountRecovery) {
   options.faults.task_failure_probability = 0.2;
   options.recovery.retry.max_attempts = 8;
   options.metrics = &metrics;
-  Engine engine(options);
-  auto run = engine.Run(f.q.dag, f.inputs);
+  Engine engine = MakeEngine(options);
+  auto run = CompileAndExecute(engine, f.q.dag, f.inputs);
   ASSERT_TRUE(run.ok()) << run.status();
   ASSERT_GT(run.report.total_retries(), 0);
 

@@ -1,12 +1,15 @@
-// EngineOptions::Validate / Builder / Engine::Create: malformed
+// EngineOptions::Validate / Engine::Create: malformed
 // configurations must be rejected with InvalidArgument before any engine
 // machinery runs, and the RunResult passthroughs must mirror the report.
 
 #include <gtest/gtest.h>
 
+#include "compile_execute.h"
+#include "engine/compiled_plan.h"
 #include "engine/engine.h"
 #include "matrix/generators.h"
 #include "telemetry/event_journal.h"
+#include "telemetry/event_names.h"
 #include "telemetry/metrics.h"
 #include "workloads/queries.h"
 
@@ -132,18 +135,7 @@ TEST(OptionsValidationTest, RejectsBadObservability) {
   o.observability.journal_capacity = -1;
   EXPECT_TRUE(o.Validate().IsInvalidArgument());
   o = SmallValid();
-  o.observability.sample_period_seconds = -0.5;
-  EXPECT_TRUE(o.Validate().IsInvalidArgument());
-  o = SmallValid();
-  o.observability.sampler_capacity = 0;
-  o.observability.sample_period_seconds = 1.0;
-  EXPECT_TRUE(o.Validate().IsInvalidArgument());
-  o = SmallValid();
   o.observability.exporter_port = 70000;
-  EXPECT_TRUE(o.Validate().IsInvalidArgument());
-  // Sampling needs a registry to sample.
-  o = SmallValid();
-  o.observability.sample_period_seconds = 1.0;
   EXPECT_TRUE(o.Validate().IsInvalidArgument());
   // The exporter needs at least one source.
   o = SmallValid();
@@ -160,23 +152,8 @@ TEST(OptionsValidationTest, AcceptsEnabledObservability) {
   EngineOptions o = SmallValid();
   o.metrics = &registry;
   o.observability.journal_capacity = 128;
-  o.observability.sample_period_seconds = 0.5;
   o.observability.exporter_port = 0;
   o.observability.crash_dump = true;
-  EXPECT_TRUE(o.Validate().ok());
-}
-
-TEST(OptionsValidationTest, RejectsExternalJournalPlusOwnedJournal) {
-  EventJournal journal(/*capacity=*/32);
-  EngineOptions o = SmallValid();
-  o.journal = &journal;
-  o.observability.journal_capacity = 64;
-  EXPECT_TRUE(o.Validate().IsInvalidArgument());
-  // Either alone is fine.
-  o.observability.journal_capacity = 0;
-  EXPECT_TRUE(o.Validate().ok());
-  o.journal = nullptr;
-  o.observability.journal_capacity = 64;
   EXPECT_TRUE(o.Validate().ok());
 }
 
@@ -198,46 +175,36 @@ TEST(OptionsValidationTest, EngineCreateStartsObservabilityPlane) {
   EXPECT_EQ(plain->exporter_port(), -1);
 }
 
-TEST(OptionsValidationTest, BuilderAssemblesAndValidates) {
-  ClusterConfig cluster;
-  cluster.num_nodes = 2;
-  cluster.tasks_per_node = 3;
-  cluster.block_size = 8;
-  FaultSpec faults;
-  faults.seed = 9;
-  faults.task_failure_probability = 0.1;
-  RecoveryOptions recovery;
-  recovery.retry.max_attempts = 5;
-  ObservabilityOptions observability;
-  observability.journal_capacity = 32;
+TEST(OptionsValidationTest, EngineOwnedJournalRecordsEachExecute) {
+  // The engine-owned flight recorder is the one journal: every Execute
+  // brackets its stages with a run-start and a run-finish event.
+  GnmfQuery q = BuildGnmf(26, 20, 6, /*x_nnz=*/104);
+  std::map<NodeId, BlockedMatrix> inputs;
+  inputs[q.X] = BlockedMatrix::FromSparse(
+      RandomSparse(26, 20, 0.2, /*seed=*/51, 1.0, 5.0), 8);
+  inputs[q.V] = BlockedMatrix::FromDense(RandomDense(26, 6, 52), 8);
+  inputs[q.U] = BlockedMatrix::FromDense(RandomDense(6, 20, 53), 8);
 
-  Result<EngineOptions> built = EngineOptions::Builder()
-                                    .System(SystemMode::kSystemDs)
-                                    .Cluster(cluster)
-                                    .Analytic(true)
-                                    .PrunedSearch(false)
-                                    .Verify(VerifyLevel::kOff)
-                                    .Faults(faults)
-                                    .Recovery(recovery)
-                                    .Observability(observability)
-                                    .Build();
-  ASSERT_TRUE(built.ok()) << built.status();
-  EXPECT_EQ(built->system, SystemMode::kSystemDs);
-  EXPECT_TRUE(built->analytic);
-  EXPECT_FALSE(built->pruned_search);
-  EXPECT_EQ(built->verify, VerifyLevel::kOff);
-  EXPECT_EQ(built->faults.seed, 9u);
-  EXPECT_EQ(built->recovery.retry.max_attempts, 5);
-  EXPECT_EQ(built->observability.journal_capacity, 32);
-}
+  EngineOptions o = SmallValid();
+  o.observability.journal_capacity = 512;
+  const Engine engine = MakeEngine(o);
+  ASSERT_NE(engine.journal(), nullptr);
+  EXPECT_EQ(engine.journal(), engine.observability()->journal());
+  Result<CompiledPlan> compiled = engine.Compile(q.dag);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(engine.Execute(*compiled, inputs).ok());
+  }
 
-TEST(OptionsValidationTest, BuilderRejectsInvalidAssembly) {
-  ClusterConfig cluster;
-  cluster.num_nodes = 0;
-  Result<EngineOptions> built =
-      EngineOptions::Builder().Cluster(cluster).Build();
-  EXPECT_FALSE(built.ok());
-  EXPECT_TRUE(built.status().IsInvalidArgument());
+  int starts = 0;
+  int finishes = 0;
+  for (const JournalEvent& e : engine.journal()->Snapshot()) {
+    if (e.id == event_names::kRunStart) ++starts;
+    if (e.id == event_names::kRunFinish) ++finishes;
+  }
+  EXPECT_EQ(engine.journal()->overwritten(), 0);
+  EXPECT_EQ(starts, 2);
+  EXPECT_EQ(finishes, 2);
 }
 
 TEST(OptionsValidationTest, EngineCreateRejectsInvalidOptions) {
@@ -264,7 +231,7 @@ TEST(OptionsValidationTest, RunResultPassthroughsMirrorReport) {
 
   Result<Engine> engine = Engine::Create(SmallValid());
   ASSERT_TRUE(engine.ok());
-  Engine::RunResult run = engine->Run(q.dag, inputs);
+  Engine::RunResult run = CompileAndExecute(*engine, q.dag, inputs);
   EXPECT_EQ(run.ok(), run.report.ok());
   EXPECT_EQ(run.status().code(), run.report.status.code());
   EXPECT_EQ(run.Summary(), run.report.Summary());
@@ -274,22 +241,20 @@ TEST(OptionsValidationTest, RunResultPassthroughsMirrorReport) {
 
 TEST(OptionsValidationTest, PlanDescriptionPopulatedOnBothPaths) {
   GnmfQuery q = BuildGnmf(26, 20, 6, /*x_nnz=*/104);
-  Engine engine([] {
-    EngineOptions o;
-    o.analytic = true;
-    return o;
-  }());
+  EngineOptions options;
+  options.analytic = true;
+  const Engine engine = MakeEngine(options);
 
-  // Run(): the planner's own description.
-  auto planned = engine.Run(q.dag, {});
+  // Compile: the planner's own description.
+  auto planned = CompileAndExecute(engine, q.dag, {});
   ASSERT_TRUE(planned.ok()) << planned.status();
   EXPECT_FALSE(planned.report.plan_description.empty());
 
-  // RunWithPlans() with a caller-assembled set and no description: the
+  // CompileWithPlans with a caller-assembled set and no description: the
   // engine synthesizes one instead of leaving the field empty.
   FusionPlanSet set = engine.MakePlans(q.dag);
   set.description.clear();
-  auto supplied = engine.RunWithPlans(q.dag, set, {});
+  auto supplied = CompileAndExecute(engine, q.dag, set, {});
   ASSERT_TRUE(supplied.ok()) << supplied.status();
   EXPECT_NE(supplied.report.plan_description.find("caller-supplied"),
             std::string::npos);

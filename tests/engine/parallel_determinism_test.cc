@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "compile_execute.h"
 #include "engine/compiled_plan.h"
 #include "engine/engine.h"
 #include "matrix/generators.h"
@@ -132,20 +133,20 @@ TEST_F(ParallelDeterminismTest, GnmfIterationAllSystems) {
        {SystemMode::kFuseMe, SystemMode::kSystemDs, SystemMode::kMatFast,
         SystemMode::kDistMe}) {
     SCOPED_TRACE(std::string(SystemModeName(mode)));
-    Engine serial(Options(/*local_threads=*/1, mode));
-    Engine parallel(Options(/*local_threads=*/8, mode));
-    ExpectIdenticalRuns(serial.Run(f.q.dag, f.inputs),
-                        parallel.Run(f.q.dag, f.inputs));
+    Engine serial = MakeEngine(Options(/*local_threads=*/1, mode));
+    Engine parallel = MakeEngine(Options(/*local_threads=*/8, mode));
+    ExpectIdenticalRuns(CompileAndExecute(serial, f.q.dag, f.inputs),
+                        CompileAndExecute(parallel, f.q.dag, f.inputs));
   }
 }
 
 TEST_F(ParallelDeterminismTest, DefaultThreadsMatchesSerial) {
   // local_threads = 0 resolves to the process default (8 here).
   GnmfFixture f;
-  Engine serial(Options(/*local_threads=*/1));
-  Engine defaulted(Options(/*local_threads=*/0));
-  ExpectIdenticalRuns(serial.Run(f.q.dag, f.inputs),
-                      defaulted.Run(f.q.dag, f.inputs));
+  Engine serial = MakeEngine(Options(/*local_threads=*/1));
+  Engine defaulted = MakeEngine(Options(/*local_threads=*/0));
+  ExpectIdenticalRuns(CompileAndExecute(serial, f.q.dag, f.inputs),
+                      CompileAndExecute(defaulted, f.q.dag, f.inputs));
 }
 
 TEST_F(ParallelDeterminismTest, ForcedOperatorsOnFusedNmfPlan) {
@@ -166,8 +167,8 @@ TEST_F(ParallelDeterminismTest, ForcedOperatorsOnFusedNmfPlan) {
   for (OperatorKind kind : {OperatorKind::kCfo, OperatorKind::kBfo,
                             OperatorKind::kRfo, OperatorKind::kCpmm}) {
     SCOPED_TRACE("operator " + std::to_string(static_cast<int>(kind)));
-    Engine serial(Options(/*local_threads=*/1));
-    Engine parallel(Options(/*local_threads=*/8));
+    Engine serial = MakeEngine(Options(/*local_threads=*/1));
+    Engine parallel = MakeEngine(Options(/*local_threads=*/8));
     // One artifact, executed by both engines: local_threads is execution-
     // local, so the same CompiledPlan is compatible with either, and the
     // results must still be bitwise identical.
@@ -184,22 +185,22 @@ TEST_F(ParallelDeterminismTest, SkewBalancedSplitsStayDeterministic) {
   serial_opts.balance_sparsity = true;
   EngineOptions parallel_opts = Options(8);
   parallel_opts.balance_sparsity = true;
-  Engine serial(serial_opts);
-  Engine parallel(parallel_opts);
-  ExpectIdenticalRuns(serial.Run(f.q.dag, f.inputs),
-                      parallel.Run(f.q.dag, f.inputs));
+  Engine serial = MakeEngine(serial_opts);
+  Engine parallel = MakeEngine(parallel_opts);
+  ExpectIdenticalRuns(CompileAndExecute(serial, f.q.dag, f.inputs),
+                      CompileAndExecute(parallel, f.q.dag, f.inputs));
 }
 
 TEST_F(ParallelDeterminismTest, GnmfSweepOverThreads) {
   // Odd and even pool widths split the work items differently; none of
   // them may show in the results or the modeled time.
   GnmfFixture f;
-  Engine serial(Options(/*local_threads=*/1));
-  const Engine::RunResult base = serial.Run(f.q.dag, f.inputs);
+  Engine serial = MakeEngine(Options(/*local_threads=*/1));
+  const Engine::RunResult base = CompileAndExecute(serial, f.q.dag, f.inputs);
   for (int threads : {2, 3, 4, 8}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
-    Engine engine(Options(threads));
-    ExpectIdenticalRuns(base, engine.Run(f.q.dag, f.inputs));
+    Engine engine = MakeEngine(Options(threads));
+    ExpectIdenticalRuns(base, CompileAndExecute(engine, f.q.dag, f.inputs));
   }
 }
 
@@ -211,14 +212,16 @@ TEST_F(ParallelDeterminismTest, FaultScheduleIsThreadInvariant) {
   for (const auto& [seed, probability] :
        std::vector<std::pair<std::uint64_t, double>>{{7, 0.3}, {11, 0.6}}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    Engine serial(WithFaults(Options(/*local_threads=*/1), seed, probability));
-    const Engine::RunResult base = serial.Run(f.q.dag, f.inputs);
+    Engine serial =
+        MakeEngine(WithFaults(Options(/*local_threads=*/1), seed, probability));
+    const Engine::RunResult base = CompileAndExecute(serial, f.q.dag, f.inputs);
     ASSERT_TRUE(base.report.ok()) << base.report.status;
     ASSERT_GT(base.report.total_retries(), 0) << "schedule injected nothing";
     for (int threads : {4, 8}) {
       SCOPED_TRACE("threads " + std::to_string(threads));
-      Engine engine(WithFaults(Options(threads), seed, probability));
-      ExpectIdenticalRuns(base, engine.Run(f.q.dag, f.inputs));
+      Engine engine =
+          MakeEngine(WithFaults(Options(threads), seed, probability));
+      ExpectIdenticalRuns(base, CompileAndExecute(engine, f.q.dag, f.inputs));
     }
   }
 }
@@ -239,8 +242,10 @@ TEST_F(ParallelDeterminismTest, ForcedOperatorsUnderFaultSchedule) {
       &q.dag, std::vector<NodeId>{q.vT, q.mm, q.add, q.log, q.mul}, q.mul);
   for (OperatorKind kind : {OperatorKind::kBfo, OperatorKind::kCpmm}) {
     SCOPED_TRACE("operator " + std::to_string(static_cast<int>(kind)));
-    Engine serial(WithFaults(Options(/*local_threads=*/1), 7, 0.4));
-    Engine parallel(WithFaults(Options(/*local_threads=*/8), 7, 0.4));
+    Engine serial =
+        MakeEngine(WithFaults(Options(/*local_threads=*/1), 7, 0.4));
+    Engine parallel =
+        MakeEngine(WithFaults(Options(/*local_threads=*/8), 7, 0.4));
     auto compiled = serial.CompileWithPlans(q.dag, full, kind);
     ASSERT_TRUE(compiled.ok()) << compiled.status();
     const Engine::RunResult base = serial.Execute(*compiled, inputs);
@@ -257,10 +262,12 @@ TEST_F(ParallelDeterminismTest, ElapsedSecondsSetOnBothExecutionPaths) {
   EngineOptions real_opts = Options(/*local_threads=*/4);
   EngineOptions analytic_opts = real_opts;
   analytic_opts.analytic = true;
-  Engine real_engine(real_opts);
-  Engine analytic_engine(analytic_opts);
-  const Engine::RunResult real = real_engine.Run(f.q.dag, f.inputs);
-  const Engine::RunResult analytic = analytic_engine.Run(f.q.dag, f.inputs);
+  Engine real_engine = MakeEngine(real_opts);
+  Engine analytic_engine = MakeEngine(analytic_opts);
+  const Engine::RunResult real =
+      CompileAndExecute(real_engine, f.q.dag, f.inputs);
+  const Engine::RunResult analytic =
+      CompileAndExecute(analytic_engine, f.q.dag, f.inputs);
   ASSERT_TRUE(real.report.ok()) << real.report.status;
   ASSERT_TRUE(analytic.report.ok()) << analytic.report.status;
   for (const Engine::RunResult* run : {&real, &analytic}) {

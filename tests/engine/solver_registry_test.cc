@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "compile_execute.h"
 #include "cost/cost_model.h"
 #include "engine/engine.h"
 #include "engine/solver_names.h"
@@ -329,7 +330,7 @@ TEST(SolverRegistryTest, DescribeListsEverySolverVerdict) {
   EngineOptions options;
   options.system = SystemMode::kFuseMe;
   options.cluster = Cluster();
-  Engine engine(options);
+  Engine engine = MakeEngine(options);
   const PlanDescription described = engine.Describe(f.q.dag);
   ASSERT_FALSE(described.stages.empty());
   for (const StageDescription& stage : described.stages) {

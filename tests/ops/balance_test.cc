@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "compile_execute.h"
 #include "engine/reference.h"
 #include "matrix/generators.h"
 #include "engine/engine.h"
@@ -150,8 +151,8 @@ TEST(BalanceTest, EngineOptionPlumbsThrough) {
   EngineOptions options;
   options.cluster = TestCluster();
   options.balance_sparsity = true;
-  Engine engine(options);
-  auto run = engine.Run(q.dag, inputs);
+  Engine engine = MakeEngine(options);
+  auto run = CompileAndExecute(engine, q.dag, inputs);
   ASSERT_TRUE(run.report.ok()) << run.report.status;
   EXPECT_LE(DenseMatrix::MaxAbsDiff(
                 run.outputs.at(q.mul).blocks().ToDense(), *expected),

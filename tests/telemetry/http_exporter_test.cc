@@ -10,17 +10,18 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/http_server.h"
+#include "compile_execute.h"
 #include "engine/engine.h"
 #include "matrix/generators.h"
 #include "telemetry/event_journal.h"
 #include "telemetry/event_names.h"
 #include "telemetry/metrics.h"
-#include "telemetry/sampler.h"
 #include "workloads/queries.h"
 
 namespace fuseme {
@@ -33,13 +34,8 @@ class HttpExporterEndpoints : public ::testing::Test {
     journal_ = std::make_unique<EventJournal>(/*capacity=*/32);
     journal_->Emit(LogLevel::kInfo, event_names::kRunStart);
     journal_->Emit(LogLevel::kInfo, event_names::kRunFinish);
-    sampler_ = std::make_unique<MetricsSampler>(
-        &registry_, MetricsSampler::Options{.period_seconds = 1.0,
-                                            .capacity = 8});
-    sampler_->SampleNow();
     exporter_ = std::make_unique<HttpExporter>(
-        HttpExporter::Options{.port = 0}, &registry_, journal_.get(),
-        sampler_.get());
+        HttpExporter::Options{.port = 0}, &registry_, journal_.get());
     const Status started = exporter_->Start();
     ASSERT_TRUE(started.ok()) << started;
     ASSERT_GT(exporter_->port(), 0);
@@ -53,7 +49,6 @@ class HttpExporterEndpoints : public ::testing::Test {
 
   MetricsRegistry registry_;
   std::unique_ptr<EventJournal> journal_;
-  std::unique_ptr<MetricsSampler> sampler_;
   std::unique_ptr<HttpExporter> exporter_;
 };
 
@@ -81,10 +76,14 @@ TEST_F(HttpExporterEndpoints, FlightzIsOrderedJson) {
   EXPECT_EQ((*events)[0].id, event_names::kRunStart);
 }
 
-TEST_F(HttpExporterEndpoints, SerieszMentionsTheSampledCounter) {
-  const std::string body = Get("/seriesz");
-  EXPECT_NE(body.find("\"taken\": 1"), std::string::npos);
-  EXPECT_NE(body.find("fuseme_test_events_total"), std::string::npos);
+TEST_F(HttpExporterEndpoints, MetricsScrapeTracksLiveCounterValues) {
+  // Each scrape renders the registry as it is now: successive scrapes
+  // are the counter's time series.
+  EXPECT_NE(Get("/metrics").find("fuseme_test_events_total 3\n"),
+            std::string::npos);
+  registry_.GetCounter("fuseme_test_events_total")->Add(4);
+  EXPECT_NE(Get("/metrics").find("fuseme_test_events_total 7\n"),
+            std::string::npos);
 }
 
 TEST_F(HttpExporterEndpoints, UnknownPathIs404WithEndpointList) {
@@ -96,11 +95,37 @@ TEST_F(HttpExporterEndpoints, UnknownPathIs404WithEndpointList) {
 TEST(HttpExporterTest, AbsentSourcesYield404) {
   MetricsRegistry registry;
   HttpExporter exporter(HttpExporter::Options{.port = 0}, &registry,
-                        /*journal=*/nullptr, /*sampler=*/nullptr);
+                        /*journal=*/nullptr);
   ASSERT_TRUE(exporter.Start().ok());
   EXPECT_TRUE(HttpGet(exporter.port(), "/metrics").ok());
   EXPECT_FALSE(HttpGet(exporter.port(), "/flightz").ok());
-  EXPECT_FALSE(HttpGet(exporter.port(), "/seriesz").ok());
+}
+
+TEST(HttpExporterTest, EngineCopyKeepsThePlaneServing) {
+  // Copies of an engine share its observability plane; the exporter stays
+  // up until the last copy goes away.
+  MetricsRegistry registry;
+  EngineOptions options;
+  options.cluster.num_nodes = 2;
+  options.cluster.tasks_per_node = 3;
+  options.cluster.block_size = 8;
+  options.metrics = &registry;
+  options.observability.journal_capacity = 16;
+  options.observability.exporter_port = 0;
+
+  std::optional<Engine> original = MakeEngine(options);
+  const Engine copy = *original;
+  const int port = original->exporter_port();
+  ASSERT_GT(port, 0);
+  EXPECT_EQ(copy.exporter_port(), port);
+  EXPECT_EQ(copy.journal(), original->journal());
+  EXPECT_EQ(copy.observability(), original->observability());
+
+  original.reset();
+  Result<std::string> health = HttpGet(port, "/healthz");
+  ASSERT_TRUE(health.ok()) << health.status();
+  EXPECT_EQ(*health, "ok\n");
+  EXPECT_TRUE(HttpGet(port, "/flightz").ok());
 }
 
 // Acceptance criterion: with the observability plane enabled through
@@ -114,7 +139,6 @@ TEST(HttpExporterTest, ServesWhileEngineRuns) {
   options.cluster.block_size = 8;
   options.metrics = &registry;
   options.observability.journal_capacity = 256;
-  options.observability.sample_period_seconds = 0.01;
   options.observability.exporter_port = 0;  // ephemeral
 
   Result<Engine> engine = Engine::Create(options);
@@ -135,7 +159,7 @@ TEST(HttpExporterTest, ServesWhileEngineRuns) {
   std::atomic<bool> done{false};
   std::thread runner([&] {
     for (int i = 0; i < 3; ++i) {
-      Engine::RunResult run = engine->Run(q.dag, inputs);
+      Engine::RunResult run = CompileAndExecute(*engine, q.dag, inputs);
       EXPECT_TRUE(run.report.ok()) << run.report.status;
     }
     done.store(true);

@@ -10,6 +10,7 @@
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
+#include "compile_execute.h"
 #include "engine/engine.h"
 #include "matrix/generators.h"
 #include "telemetry/metric_names.h"
@@ -270,7 +271,7 @@ Engine MakeEngine(MetricsRegistry* metrics, bool analytic) {
   options.cluster.block_size = 16;
   options.analytic = analytic;
   options.metrics = metrics;
-  return Engine(options);
+  return MakeEngine(options);
 }
 
 TEST(MetricsEngineTest, NullRegistryRunsUntouched) {
@@ -283,7 +284,7 @@ TEST(MetricsEngineTest, NullRegistryRunsUntouched) {
   inputs[q.X] = RandomSparseBlocked(64, 64, 0.1, 16, /*seed=*/1, 1.0, 5.0);
   inputs[q.U] = RandomDenseBlocked(16, 64, 16, /*seed=*/2, 0.5, 1.5);
   inputs[q.V] = RandomDenseBlocked(64, 16, 16, /*seed=*/3, 0.5, 1.5);
-  Engine::RunResult run = engine.Run(q.dag, inputs);
+  Engine::RunResult run = CompileAndExecute(engine, q.dag, inputs);
   ASSERT_TRUE(run.report.ok()) << run.report.status.ToString();
   EXPECT_TRUE(bystander.Snapshot().samples.empty());
 }
@@ -296,7 +297,7 @@ TEST(MetricsEngineTest, RealRunPopulatesPipelineFamilies) {
   inputs[q.X] = RandomSparseBlocked(64, 64, 0.1, 16, /*seed=*/1, 1.0, 5.0);
   inputs[q.U] = RandomDenseBlocked(16, 64, 16, /*seed=*/2, 0.5, 1.5);
   inputs[q.V] = RandomDenseBlocked(64, 16, 16, /*seed=*/3, 0.5, 1.5);
-  Engine::RunResult run = engine.Run(q.dag, inputs);
+  Engine::RunResult run = CompileAndExecute(engine, q.dag, inputs);
   ASSERT_TRUE(run.report.ok()) << run.report.status.ToString();
 
   const MetricsSnapshot snap = registry.Snapshot();
@@ -374,7 +375,7 @@ TEST(MetricsEngineTest, WorkloadSweepKeepsRegistryConsistent) {
   std::int64_t last_runs = 0, last_stages = 0;
   int completed = 0;
   for (const Dag& dag : dags) {
-    Engine::RunResult run = engine.Run(dag, {});
+    Engine::RunResult run = CompileAndExecute(engine, dag, {});
     ASSERT_TRUE(run.report.ok()) << run.report.status.ToString();
     ++completed;
     const MetricsSnapshot snap = registry.Snapshot();

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "compile_execute.h"
 #include "engine/engine.h"
 #include "matrix/generators.h"
 #include "telemetry/tracer.h"
@@ -97,8 +98,8 @@ TEST_P(PredictionAgreementTest, RealChargesTrackPrediction) {
   inputs[q.U] = BlockedMatrix::FromDense(RandomDense(160, 32, 82), 8);
   inputs[q.V] = BlockedMatrix::FromDense(RandomDense(160, 32, 83), 8);
 
-  Engine engine(options);
-  auto run = engine.Run(q.dag, inputs);
+  Engine engine = MakeEngine(options);
+  auto run = CompileAndExecute(engine, q.dag, inputs);
   ASSERT_TRUE(run.report.ok())
       << SystemModeName(GetParam()) << ": " << run.report.status;
   ASSERT_FALSE(run.report.telemetry.empty());
@@ -131,8 +132,8 @@ TEST(PredictionTelemetryTest, EveryExecutedStageCarriesAPrediction) {
   EngineOptions options;
   options.system = SystemMode::kFuseMe;
   options.analytic = true;
-  Engine engine(options);
-  auto run = engine.Run(q.dag, {});
+  Engine engine = MakeEngine(options);
+  auto run = CompileAndExecute(engine, q.dag, {});
   ASSERT_TRUE(run.report.ok()) << run.report.status;
   ASSERT_EQ(run.report.telemetry.size(), run.report.stages.size());
   for (std::size_t i = 0; i < run.report.telemetry.size(); ++i) {
@@ -160,8 +161,8 @@ TEST(PredictionTelemetryTest, EngineRecordsStageSpans) {
   inputs[q.U] = BlockedMatrix::FromDense(RandomDense(160, 32, 82), 8);
   inputs[q.V] = BlockedMatrix::FromDense(RandomDense(160, 32, 83), 8);
 
-  Engine engine(options);
-  auto run = engine.Run(q.dag, inputs);
+  Engine engine = MakeEngine(options);
+  auto run = CompileAndExecute(engine, q.dag, inputs);
   ASSERT_TRUE(run.report.ok()) << run.report.status;
 
   std::size_t stage_spans = 0, work_item_spans = 0;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "compile_execute.h"
 #include "engine/engine.h"
 #include "verify/plan_verifier.h"
 #include "workloads/queries.h"
@@ -367,7 +368,7 @@ TEST(EngineVerifyTest, CorruptedDagFailsTheRunWithDiagnostics) {
   GnmfQuery q = BuildGnmf(4000, 1800, 200, /*x_nnz=*/400000);
   EngineOptions options;
   options.analytic = true;
-  Engine engine(options);
+  Engine engine = MakeEngine(options);
 
   FusionPlanSet plans = engine.MakePlans(q.dag);
   ASSERT_TRUE(plans.diagnostics.empty())
@@ -375,7 +376,7 @@ TEST(EngineVerifyTest, CorruptedDagFailsTheRunWithDiagnostics) {
 
   // Corrupt the inferred shape of the U-side main matmul after planning.
   q.dag.mutable_node_for_test(q.a1)->rows = 12345;
-  auto run = engine.RunWithPlans(q.dag, plans, {});
+  auto run = CompileAndExecute(engine, q.dag, plans, {});
   EXPECT_EQ(run.report.status.code(), StatusCode::kInternal)
       << run.report.status.ToString();
   EXPECT_FALSE(run.report.verifier_diagnostics.empty());
@@ -391,10 +392,10 @@ TEST(EngineVerifyTest, VerifyOffSkipsTheGate) {
   EngineOptions options;
   options.analytic = true;
   options.verify = VerifyLevel::kOff;
-  Engine engine(options);
+  Engine engine = MakeEngine(options);
   FusionPlanSet plans = engine.MakePlans(q.dag);
   EXPECT_TRUE(plans.diagnostics.empty());
-  auto run = engine.RunWithPlans(q.dag, plans, {});
+  auto run = CompileAndExecute(engine, q.dag, plans, {});
   EXPECT_TRUE(run.report.ok()) << run.report.status.ToString();
   EXPECT_TRUE(run.report.verifier_diagnostics.empty());
 }
@@ -408,8 +409,8 @@ TEST(EngineVerifyTest, ParanoidLevelPassesOnValidQueries) {
     options.system = mode;
     options.analytic = true;
     options.verify = VerifyLevel::kParanoid;
-    Engine engine(options);
-    auto run = engine.Run(q.dag, {});
+    Engine engine = MakeEngine(options);
+    auto run = CompileAndExecute(engine, q.dag, {});
     EXPECT_TRUE(run.report.ok())
         << SystemModeName(mode) << ": " << run.report.status.ToString();
     EXPECT_TRUE(run.report.verifier_diagnostics.empty())
@@ -421,7 +422,7 @@ TEST(EngineVerifyTest, CfgCandidatesAreVerifiedInMakePlans) {
   GnmfQuery q = BuildGnmf(4000, 1800, 200, /*x_nnz=*/400000);
   EngineOptions options;
   options.analytic = true;
-  Engine engine(options);
+  Engine engine = MakeEngine(options);
   FusionPlanSet plans = engine.MakePlans(q.dag);
   EXPECT_TRUE(plans.diagnostics.empty())
       << FormatDiagnostics(plans.diagnostics);

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "compile_execute.h"
 #include "engine/engine.h"
 #include "ir/parser.h"
 #include "verify/plan_verifier.h"
@@ -34,7 +35,7 @@ void SweepDag(const Dag& dag, const std::string& label,
     options.cluster = cluster;
     options.analytic = true;
     options.verify = VerifyLevel::kParanoid;
-    Engine engine(options);
+    Engine engine = MakeEngine(options);
 
     FusionPlanSet plans = engine.MakePlans(dag);
     EXPECT_TRUE(plans.diagnostics.empty())
@@ -46,7 +47,7 @@ void SweepDag(const Dag& dag, const std::string& label,
     EXPECT_TRUE(diags.empty()) << label << " / " << SystemModeName(mode)
                                << ": " << FormatDiagnostics(diags);
 
-    auto run = engine.Run(dag, {});
+    auto run = CompileAndExecute(engine, dag, {});
     EXPECT_TRUE(run.report.verifier_diagnostics.empty())
         << label << " / " << SystemModeName(mode) << ": "
         << FormatDiagnostics(run.report.verifier_diagnostics);

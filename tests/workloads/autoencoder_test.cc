@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "compile_execute.h"
 #include "engine/engine.h"
 #include "engine/reference.h"
 #include "matrix/generators.h"
@@ -77,8 +78,8 @@ TEST(AutoEncoderTest, DistributedExecutionMatchesReference) {
   for (SystemMode mode : {SystemMode::kFuseMe, SystemMode::kTensorFlow,
                           SystemMode::kSystemDs}) {
     options.system = mode;
-    Engine engine(options);
-    auto run = engine.Run(q.dag, inputs);
+    Engine engine = MakeEngine(options);
+    auto run = CompileAndExecute(engine, q.dag, inputs);
     ASSERT_TRUE(run.report.ok())
         << SystemModeName(mode) << ": " << run.report.status;
     for (NodeId out : {q.loss, q.gW1, q.gW2, q.gW3, q.gW4}) {
@@ -99,8 +100,8 @@ TEST(AutoEncoderTest, AnalyticPaperScaleRuns) {
   for (SystemMode mode : {SystemMode::kFuseMe, SystemMode::kTensorFlow,
                           SystemMode::kSystemDs}) {
     options.system = mode;
-    Engine engine(options);
-    auto run = engine.Run(q.dag, {});
+    Engine engine = MakeEngine(options);
+    auto run = CompileAndExecute(engine, q.dag, {});
     ASSERT_TRUE(run.report.ok())
         << SystemModeName(mode) << ": " << run.report.status;
     EXPECT_GT(run.report.elapsed_seconds, 0);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "compile_execute.h"
 #include "engine/engine.h"
 #include "engine/reference.h"
 #include "matrix/generators.h"
@@ -76,8 +77,8 @@ TEST(KlLossTest, AllSystemsAgree) {
   for (SystemMode mode :
        {SystemMode::kFuseMe, SystemMode::kSystemDs, SystemMode::kDistMe}) {
     options.system = mode;
-    Engine engine(options);
-    auto run = engine.Run(q.dag, inputs);
+    Engine engine = MakeEngine(options);
+    auto run = CompileAndExecute(engine, q.dag, inputs);
     ASSERT_TRUE(run.report.ok())
         << SystemModeName(mode) << ": " << run.report.status;
     EXPECT_NEAR(run.outputs.at(q.loss).blocks().ToDense()(0, 0),
