@@ -3,7 +3,7 @@
 // run profile and export the registry in both formats.
 //
 //   $ ./build/examples/metrics_report [workload] [--analytic] [--check]
-//                                     [--serve=<port>] [--validate-prom]
+//                                     [--validate-prom]
 //
 // Workloads: gnmf (default), nmf, als, kl, pca, or any expression over the
 // symbols X (sparse n x n), U (n x k), V (n x k), S (n x 1), e.g.
@@ -14,26 +14,23 @@
 //   * the per-stage profile table (time %, shuffle bytes, FLOPs, threads,
 //     predicted-vs-actual verdict) on stdout,
 //   * metrics_report.prom — Prometheus text exposition,
-//   * metrics_report.json — the RunReport (with the embedded snapshot).
+//   * metrics_report.json — the RunReport (with the embedded snapshot),
+//   * metrics_report.journal.json — the engine's flight-recorder events
+//     (EventJournal::DumpJson).
 //
 // --check additionally validates the Prometheus output with the format
-// checker, round-trips the JSON snapshot through the parser, and runs the
-// registry consistency invariants; any failure exits non-zero (this is the
-// scripts/check.sh smoke step).
-//
-// --serve=<port> turns on the live observability plane (flight recorder,
-// HTTP exporter; port 0 picks an ephemeral port, printed as "serving on
-// port N").  After the run the process keeps serving /metrics, /healthz,
-// /varz and /flightz until stdin reaches EOF —
-// scripts/run_exporter_smoke.sh drives this mode with curl.
+// checker, round-trips the JSON snapshot through the parser, runs the
+// registry consistency invariants, and parses the journal file back,
+// requiring its run-start and run-finish events; any failure exits
+// non-zero (this is the scripts/check.sh smoke step).
 //
 // --validate-prom ignores every other flag: it reads Prometheus text
 // exposition from stdin, runs the format checker, and exits non-zero on
-// a violation (the smoke script pipes curl output through it).
+// a violation (a filter for exposition text produced elsewhere).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -127,13 +124,30 @@ int ValidatePromFromStdin() {
   return 0;
 }
 
+/// Parses a journal dump back and requires the events that bracket a run.
+Status CheckJournalFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  FUSEME_ASSIGN_OR_RETURN(std::vector<JournalEvent> events,
+                          ParseJournalJson(text.str()));
+  for (std::string_view id :
+       {event_names::kRunStart, event_names::kRunFinish}) {
+    if (std::none_of(events.begin(), events.end(),
+                     [&](const JournalEvent& e) { return e.id == id; })) {
+      return Status::InvalidArgument(path + " holds no " + std::string(id) +
+                                     " event");
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string workload = "gnmf";
   bool check = false;
   bool analytic = false;
-  int serve_port = -1;  // -1 = no exporter; >= 0 enables --serve mode.
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--check") == 0) {
       check = true;
@@ -141,8 +155,6 @@ int main(int argc, char** argv) {
       analytic = true;
     } else if (std::strcmp(argv[i], "--validate-prom") == 0) {
       return ValidatePromFromStdin();
-    } else if (std::strncmp(argv[i], "--serve=", 8) == 0) {
-      serve_port = std::atoi(argv[i] + 8);
     } else {
       workload = argv[i];
     }
@@ -168,10 +180,7 @@ int main(int argc, char** argv) {
   options.analytic = analytic;
   options.tracer = &tracer;
   options.metrics = &registry;
-  if (serve_port >= 0) {
-    options.observability.journal_capacity = 1024;
-    options.observability.exporter_port = serve_port;
-  }
+  options.observability.journal_capacity = 1024;
   Result<Engine> created = Engine::Create(options);
   if (!created.ok()) {
     std::fprintf(stderr, "error: %s\n", created.status().ToString().c_str());
@@ -179,12 +188,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   Engine& engine = *created;
-  if (serve_port >= 0) {
-    // The exact line the smoke script greps for; flush so a piped reader
-    // sees it before the run finishes.
-    std::printf("serving on port %d\n", engine.exporter_port());
-    std::fflush(stdout);
-  }
 
   std::printf("workload: %s (%s mode)\n", workload.c_str(),
               analytic ? "analytic" : "real");
@@ -213,8 +216,11 @@ int main(int argc, char** argv) {
   const std::string prom = report.metrics.ToPrometheusText();
   if (!WriteFile("metrics_report.prom", prom)) return 1;
   if (!WriteFile("metrics_report.json", report.ToJson())) return 1;
-  std::printf("wrote metrics_report.prom (%zu samples) and "
-              "metrics_report.json\n",
+  if (!WriteFile("metrics_report.journal.json", engine.journal()->DumpJson())) {
+    return 1;
+  }
+  std::printf("wrote metrics_report.prom (%zu samples), metrics_report.json "
+              "and metrics_report.journal.json\n",
               report.metrics.samples.size());
 
   if (check) {
@@ -236,17 +242,13 @@ int main(int argc, char** argv) {
                    s.ToString().c_str());
       return 1;
     }
-    std::printf("checks: prometheus format, JSON round-trip, and registry "
-                "consistency all passed\n");
-  }
-  if (serve_port >= 0) {
-    std::printf("run complete; serving until stdin closes\n");
-    std::fflush(stdout);
-    // Hold the exporter (and the journal behind it) up for curl: the
-    // driver keeps our stdin open on a pipe and closes it to stop us.
-    std::string line;
-    while (std::getline(std::cin, line)) {
+    if (Status s = CheckJournalFile("metrics_report.journal.json"); !s.ok()) {
+      std::fprintf(stderr, "journal check FAILED: %s\n",
+                   s.ToString().c_str());
+      return 1;
     }
+    std::printf("checks: prometheus format, JSON round-trip, registry "
+                "consistency, and journal file all passed\n");
   }
   return run.report.ok() ? 0 : 1;
 }

@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # One-command correctness gate:
 #   1. build with -Werror + run the plain test suite (build/)
-#   2. metrics_report end-to-end smoke (Prometheus/JSON export validation)
-#      plus the live-exporter smoke (scripts/run_exporter_smoke.sh: serve
-#      mode, curl /healthz + /metrics + /flightz, format validation)
+#   2. metrics_report end-to-end smoke (Prometheus/JSON export validation,
+#      journal file round-trip with run-start/run-finish events)
 #   3. clang-tidy static analysis (skipped with a warning when the tool
 #      is not installed — see scripts/run_tidy.sh)
 #   4. fuseme_lint repo-invariant scan (scripts/run_lint.sh — never
@@ -36,10 +35,7 @@ METRICS_REPORT="$PWD/build/examples/metrics_report"
   exit 1
 }
 rm -rf "$SMOKE_DIR"
-echo "ok: metrics_report exports validated"
-
-echo "== exporter smoke (metrics_report --serve, curl + validation) =="
-scripts/run_exporter_smoke.sh
+echo "ok: metrics_report exports and journal file validated"
 
 echo "== fault-injection smoke (quickstart --faults, fixed seed) =="
 # The example runs a seeded failure schedule (seed 42, p=0.2) and exits

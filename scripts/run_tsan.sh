@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Builds the tree with ThreadSanitizer and runs the concurrency-sensitive
 # test directories (common/, matrix/, ops/, runtime/, engine/, telemetry/)
-# under it — including the event-journal hammers and the live HTTP
-# exporter tests.
+# under it — including the event-journal hammers.
 # Usage: scripts/run_tsan.sh [extra ctest -R regex]
 set -euo pipefail
 
@@ -18,7 +17,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 # parallel operators (including the serial-vs-parallel determinism suite
 # and the fault-injection retry path, which merges recovery accounting
 # from worker threads).
-REGEX=${1:-'Synchronization|ThreadPool|GlobalThreadPool|ParallelDeterminism|MatMul|BlockedMatrix|Stage|FusedOperator|OperatorSweep|Metrics|Logging|FaultTolerance|FaultInjector|FaultSpec|RetryPolicy|StageRecovery|OptionsValidation|SparseKernels|EventJournal|HttpServer|HttpExporter|SolverRegistry|CompiledPlan'}
+REGEX=${1:-'Synchronization|ThreadPool|GlobalThreadPool|ParallelDeterminism|MatMul|BlockedMatrix|Stage|FusedOperator|OperatorSweep|Metrics|Logging|FaultTolerance|FaultInjector|FaultSpec|RetryPolicy|StageRecovery|OptionsValidation|SparseKernels|EventJournal|SolverRegistry|CompiledPlan'}
 
 # Exercise more than one thread even on small CI machines.
 export FUSEME_THREADS=${FUSEME_THREADS:-4}

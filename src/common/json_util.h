@@ -196,13 +196,23 @@ class JsonReader {
     return static_cast<std::int64_t>(v);
   }
 
+  /// Deepest array/object nesting SkipValue descends into; deeper input
+  /// is an error instead of a stack overflow.  The writers' schemas nest
+  /// a handful of levels.
+  static constexpr int kMaxNestingDepth = 256;
+
   /// Skips one value of any supported type (used for ignored keys).
-  Status SkipValue() {
+  /// `depth` is the number of enclosing containers already being skipped.
+  Status SkipValue(int depth = 0) {
     SkipSpace();
     if (pos_ >= text_.size()) return Error("truncated value");
     const char c = text_[pos_];
     if (c == '"') return ReadString().status();
     if (c == '{' || c == '[') {
+      if (depth >= kMaxNestingDepth) {
+        return Error("value nests deeper than the limit of " +
+                     std::to_string(kMaxNestingDepth) + " levels");
+      }
       const char close = c == '{' ? '}' : ']';
       FUSEME_RETURN_IF_ERROR(Expect(c));
       if (TryConsume(close)) return Status::OK();
@@ -211,7 +221,7 @@ class JsonReader {
           FUSEME_RETURN_IF_ERROR(ReadString().status());
           FUSEME_RETURN_IF_ERROR(Expect(':'));
         }
-        FUSEME_RETURN_IF_ERROR(SkipValue());
+        FUSEME_RETURN_IF_ERROR(SkipValue(depth + 1));
       } while (TryConsume(','));
       return Expect(close);
     }

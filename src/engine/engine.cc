@@ -120,29 +120,28 @@ std::string ExecutionReport::Summary() const {
 Engine::Engine(EngineOptions options)
     : options_(std::move(options)), model_(options_.cluster) {
   if (options_.faults.enabled()) injector_.emplace(options_.faults);
+  const ObservabilityOptions& obs = options_.observability;
+  if (obs.journal_capacity > 0) {
+    // One steady-clock epoch for every sink: the tracer's when tracing is
+    // on, so journal timestamps correlate with TRACE_*.json spans by
+    // subtraction.
+    journal_.reset(
+        new EventJournal(obs.journal_capacity,
+                         options_.tracer != nullptr
+                             ? options_.tracer->epoch()
+                             : std::chrono::steady_clock::now()),
+        // The last copy of the engine detaches the hook it attached.
+        [crash_dump = obs.crash_dump](EventJournal* journal) {
+          if (crash_dump) AttachJournalCrashDump(nullptr);
+          delete journal;
+        });
+    if (obs.crash_dump) AttachJournalCrashDump(journal_.get());
+  }
 }
 
 Result<Engine> Engine::Create(EngineOptions options) {
   FUSEME_RETURN_IF_ERROR(options.Validate());
-  Engine engine(std::move(options));
-  FUSEME_RETURN_IF_ERROR(engine.StartObservability());
-  return engine;
-}
-
-Status Engine::StartObservability() {
-  // One steady-clock epoch for every sink: the tracer's when tracing is
-  // on, so /flightz timestamps correlate with TRACE_*.json spans by
-  // subtraction.
-  const std::chrono::steady_clock::time_point epoch =
-      options_.tracer != nullptr ? options_.tracer->epoch()
-                                 : std::chrono::steady_clock::now();
-  if (options_.observability.any_enabled()) {
-    FUSEME_ASSIGN_OR_RETURN(
-        plane_, ObservabilityPlane::Start(options_.observability,
-                                          options_.metrics, epoch));
-  }
-  journal_ = plane_ != nullptr ? plane_->journal() : nullptr;
-  return Status::OK();
+  return Engine(std::move(options));
 }
 
 SolverEnv Engine::MakeSolverEnv(bool silent) const {
@@ -151,7 +150,7 @@ SolverEnv Engine::MakeSolverEnv(bool silent) const {
   env.pruned_search = options_.pruned_search;
   env.balance_sparsity = options_.balance_sparsity;
   env.metrics = silent ? nullptr : options_.metrics;
-  env.journal = silent ? nullptr : journal_;
+  env.journal = silent ? nullptr : journal_.get();
   return env;
 }
 

@@ -41,7 +41,7 @@
 #include "runtime/distributed_matrix.h"
 #include "runtime/fault_injector.h"
 #include "runtime/simulator.h"
-#include "telemetry/observability.h"
+#include "telemetry/event_journal.h"
 #include "telemetry/prediction.h"
 #include "verify/diagnostic.h"
 
@@ -100,6 +100,17 @@ struct RecoveryOptions {
   double speculation_launch_factor = 1.5;
 };
 
+/// Engine-owned flight recorder (DESIGN.md section 17).  Both default to
+/// off, so a default engine builds no journal.
+struct ObservabilityOptions {
+  /// Journal capacity in events; 0 disables the journal.
+  std::int64_t journal_capacity = 0;
+  /// Install the fatal-log hook that dumps the journal's last events to
+  /// stderr when a FUSEME_CHECK fails.  Requires the journal.  Process-
+  /// global (last attach wins), hence opt-in.
+  bool crash_dump = false;
+};
+
 struct EngineOptions {
   SystemMode system = SystemMode::kFuseMe;
   ClusterConfig cluster;
@@ -120,10 +131,8 @@ struct EngineOptions {
   /// counters/gauges/histograms into it — see telemetry/metric_names.h and
   /// DESIGN.md section 12.  Null disables with no hot-path cost.
   MetricsRegistry* metrics = nullptr;
-  /// Engine-owned observability plane (DESIGN.md section 17): flight
-  /// recorder and embedded HTTP exporter.  All off by default;
-  /// Engine::Create starts the enabled pieces and stops them when the
-  /// last copy of the engine goes away.
+  /// Engine-owned flight recorder (see ObservabilityOptions), shared by
+  /// every copy of the engine and freed with the last one.
   ObservabilityOptions observability;
   /// How much static plan verification runs before/while executing
   /// (verify/plan_verifier.h, DESIGN.md section 11).  kPlanner checks the
@@ -216,17 +225,9 @@ class Engine {
   const EngineOptions& options() const { return options_; }
   const CostModel& cost_model() const { return model_; }
 
-  /// The engine-owned plane's flight recorder, or null when
+  /// The engine-owned flight recorder, or null when
   /// observability.journal_capacity is 0.
-  EventJournal* journal() const { return journal_; }
-  /// The engine-owned observability plane, or null when
-  /// options.observability enabled nothing.
-  const ObservabilityPlane* observability() const { return plane_.get(); }
-  /// Bound exporter port (-1 when the exporter is off) — what tests and
-  /// the --serve example curl against when exporter_port was 0.
-  int exporter_port() const {
-    return plane_ != nullptr ? plane_->exporter_port() : -1;
-  }
+  EventJournal* journal() const { return journal_.get(); }
 
   /// Generates this system's fusion plan set for `dag`.
   FusionPlanSet MakePlans(const Dag& dag) const;
@@ -297,12 +298,8 @@ class Engine {
                                        double budget_factor = 1.0) const;
 
  private:
+  /// Builds the injector and journal the (validated) options ask for.
   explicit Engine(EngineOptions options);
-
-  /// Builds and starts the options_.observability plane (if anything is
-  /// enabled) and caches its journal_ pointer.  Called once from Create
-  /// after validation.
-  Status StartObservability();
 
   /// Solver-facing view of this engine's configuration.  `silent` drops
   /// the metric/journal sinks: used where a resolution or search merely
@@ -358,12 +355,9 @@ class Engine {
   /// Present iff options_.faults.enabled(); stages consult it for task
   /// kills, synthetic OOMs, and straggler factors.
   std::optional<FaultInjector> injector_;
-  /// Engine-owned observability plane (shared so Engine stays copyable;
-  /// background threads stop with the last copy).  Null when disabled.
-  std::shared_ptr<ObservabilityPlane> plane_;
-  /// plane_->journal(), or null.  Cached so emission sites are one
-  /// pointer test.
-  EventJournal* journal_ = nullptr;
+  /// Engine-owned flight recorder, shared so Engine stays copyable; its
+  /// deleter detaches the crash dump.  Null when disabled.
+  std::shared_ptr<EventJournal> journal_;
 };
 
 }  // namespace fuseme

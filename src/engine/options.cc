@@ -90,6 +90,17 @@ Status ValidateRecovery(const RecoveryOptions& r) {
   return Status::OK();
 }
 
+Status ValidateObservability(const ObservabilityOptions& o) {
+  if (o.journal_capacity < 0) {
+    return Invalid("observability.journal_capacity must be >= 0 (0 disables)"
+                   ", got " + std::to_string(o.journal_capacity));
+  }
+  if (o.crash_dump && o.journal_capacity == 0) {
+    return Invalid("observability.crash_dump requires journal_capacity > 0");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Status EngineOptions::Validate() const {
@@ -102,7 +113,7 @@ Status EngineOptions::Validate() const {
   }
   FUSEME_RETURN_IF_ERROR(ValidateFaults(faults));
   FUSEME_RETURN_IF_ERROR(ValidateRecovery(recovery));
-  FUSEME_RETURN_IF_ERROR(observability.Validate(metrics != nullptr));
+  FUSEME_RETURN_IF_ERROR(ValidateObservability(observability));
   return Status::OK();
 }
 

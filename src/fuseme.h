@@ -72,14 +72,11 @@
 #include "runtime/simulator.h"
 
 // Observability: metrics, tracing, predicted-vs-actual telemetry, and
-// the live plane (flight recorder, HTTP exporter — DESIGN.md section
-// 17).
+// the flight recorder (DESIGN.md section 17).
 #include "telemetry/event_journal.h"
 #include "telemetry/event_names.h"
-#include "telemetry/http_exporter.h"
 #include "telemetry/metric_names.h"
 #include "telemetry/metrics.h"
-#include "telemetry/observability.h"
 #include "telemetry/prediction.h"
 #include "telemetry/run_report.h"
 #include "telemetry/tracer.h"

@@ -79,12 +79,17 @@ Result<NodeId> Dag::AddInput(std::string name, std::int64_t rows,
     return Status::InvalidArgument("input '" + name +
                                    "' must have positive dimensions");
   }
+  std::int64_t cells = 0;
+  if (__builtin_mul_overflow(rows, cols, &cells)) {
+    return Status::InvalidArgument("input '" + name +
+                                   "' has more cells than int64 holds");
+  }
   Node n;
   n.kind = OpKind::kInput;
   n.name = std::move(name);
   n.rows = rows;
   n.cols = cols;
-  n.nnz = nnz < 0 ? rows * cols : std::min(nnz, rows * cols);
+  n.nnz = nnz < 0 ? cells : std::min(nnz, cells);
   return Push(std::move(n));
 }
 

@@ -147,6 +147,12 @@ class Lexer {
   std::size_t i_ = 0;
 };
 
+/// Deepest recursion the descent accepts, counted in active ParsePower /
+/// ParseUnary frames: a parenthesis or function call nests two, a leading
+/// '-' or a '^' one.  Deeper queries are rejected instead of overflowing
+/// the stack.
+constexpr int kMaxNestingDepth = 500;
+
 class Parser {
  public:
   Parser(std::vector<Token> tokens, Dag* dag,
@@ -236,7 +242,25 @@ class Parser {
     return lhs;
   }
 
+  /// Counts one level of recursion for its lifetime.
+  struct DepthScope {
+    explicit DepthScope(int* depth) : depth(depth) { ++*depth; }
+    ~DepthScope() { --*depth; }
+    DepthScope(const DepthScope&) = delete;
+    DepthScope& operator=(const DepthScope&) = delete;
+    int* depth;
+  };
+
+  Status CheckDepth() const {
+    if (depth_ <= kMaxNestingDepth) return Status::OK();
+    return SyntaxError(Peek().pos,
+                       "expression nests deeper than the limit of " +
+                           std::to_string(kMaxNestingDepth) + " levels");
+  }
+
   Result<NodeId> ParsePower() {
+    const DepthScope scope(&depth_);
+    FUSEME_RETURN_IF_ERROR(CheckDepth());
     FUSEME_ASSIGN_OR_RETURN(NodeId base, ParseMatMul());
     if (Peek().kind != TokKind::kCaret) return base;
     Token op = Next();
@@ -264,6 +288,8 @@ class Parser {
   }
 
   Result<NodeId> ParseUnary() {
+    const DepthScope scope(&depth_);
+    FUSEME_RETURN_IF_ERROR(CheckDepth());
     if (Peek().kind == TokKind::kMinus) {
       Token op = Next();
       FUSEME_ASSIGN_OR_RETURN(NodeId operand, ParseUnary());
@@ -363,9 +389,18 @@ class Parser {
         if (sym == symbols_.end()) {
           return SyntaxError(tok.pos, "unknown matrix '" + tok.text + "'");
         }
-        Result<NodeId> made = dag_->AddInput(
-            tok.text, sym->second.rows, sym->second.cols, sym->second.nnz);
+        const MatrixShape& shape = sym->second;
+        Result<NodeId> made =
+            dag_->AddInput(tok.text, shape.rows, shape.cols, shape.nnz);
         if (!made.ok()) return SyntaxError(tok.pos, made.status().message());
+        // AddInput checked that rows * cols fits in int64.  It would clamp
+        // an nnz above that; from a symbol table it is a mistake.
+        if (shape.nnz > shape.rows * shape.cols) {
+          return SyntaxError(tok.pos, "matrix '" + tok.text +
+                                          "' declares nnz " +
+                                          std::to_string(shape.nnz) +
+                                          " > rows * cols");
+        }
         bound_->emplace(tok.text, *made);
         return made;
       }
@@ -376,6 +411,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t i_ = 0;
+  int depth_ = 0;
   Dag* dag_;
   const std::map<std::string, MatrixShape>& symbols_;
   std::map<std::string, NodeId>* bound_;

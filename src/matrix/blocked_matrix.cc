@@ -11,7 +11,7 @@ namespace fuseme {
 namespace {
 
 std::int64_t CeilDiv(std::int64_t a, std::int64_t b) {
-  return (a + b - 1) / b;
+  return a / b + (a % b != 0);  // a + b - 1 could overflow
 }
 
 // Conversions below this many cells run serially; the per-tile work is a

@@ -2,6 +2,7 @@
 #include <unistd.h>
 #include <cstring>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -13,6 +14,9 @@ namespace {
 
 constexpr char kMagic[4] = {'F', 'M', 'E', 'M'};
 constexpr std::uint32_t kVersion = 1;
+/// Largest block grid LoadMatrix builds (every tile, zero or not, costs a
+/// Block); every real-mode shape in the repo needs far fewer.
+constexpr std::int64_t kMaxGridBlocks = std::int64_t{1} << 20;
 
 struct FileCloser {
   void operator()(std::FILE* f) const {
@@ -44,6 +48,11 @@ Status ReadOne(std::FILE* f, T* value) {
     return Status::Internal("short read (truncated file?)");
   }
   return Status::OK();
+}
+
+/// Bytes between the read position and the end of a `file_size`-byte file.
+std::int64_t BytesLeft(std::FILE* f, std::int64_t file_size) {
+  return file_size - std::ftell(f);
 }
 
 template <typename T>
@@ -118,6 +127,11 @@ Result<BlockedMatrix> LoadMatrix(const std::string& path) {
     return Status::InvalidArgument("cannot open '" + path + "'");
   }
   std::FILE* f = file.get();
+  if (std::fseek(f, 0, SEEK_END) != 0) {
+    return Status::InvalidArgument("cannot seek '" + path + "'");
+  }
+  const std::int64_t file_size = std::ftell(f);
+  std::rewind(f);
   char magic[4];
   if (std::fread(magic, 1, 4, f) != 4 ||
       std::memcmp(magic, kMagic, 4) != 0) {
@@ -137,6 +151,17 @@ Result<BlockedMatrix> LoadMatrix(const std::string& path) {
   if (rows < 0 || cols < 0 || block_size <= 0 || block_count < 0) {
     return Status::InvalidArgument("corrupt matrix header");
   }
+  const std::int64_t grid_rows = rows / block_size + (rows % block_size != 0);
+  const std::int64_t grid_cols = cols / block_size + (cols % block_size != 0);
+  // Each bound matters: an empty grid can still be 2^60 rows long.
+  std::int64_t grid_blocks = 0;
+  if (__builtin_mul_overflow(grid_rows, grid_cols, &grid_blocks) ||
+      std::max({grid_blocks, grid_rows, grid_cols}) > kMaxGridBlocks) {
+    return Status::InvalidArgument(
+        "matrix header asks for a " + std::to_string(grid_rows) + " x " +
+        std::to_string(grid_cols) + " block grid, over the limit of " +
+        std::to_string(kMaxGridBlocks) + " blocks");
+  }
   BlockedMatrix out(rows, cols, block_size);
   for (std::int64_t i = 0; i < block_count; ++i) {
     std::int64_t bi = 0, bj = 0;
@@ -148,8 +173,13 @@ Result<BlockedMatrix> LoadMatrix(const std::string& path) {
         bj >= out.grid_cols()) {
       return Status::InvalidArgument("corrupt block coordinates");
     }
+    // Sizes are checked against the words left in the file by division,
+    // which cannot overflow (tr, tc >= 1), before anything is allocated.
     const std::int64_t tr = out.TileRows(bi), tc = out.TileCols(bj);
     if (kind == 1) {
+      if (tr > BytesLeft(f, file_size) / 8 / tc) {
+        return Status::InvalidArgument("dense block larger than the file");
+      }
       std::vector<double> data(static_cast<std::size_t>(tr * tc));
       FUSEME_RETURN_IF_ERROR(ReadArray(f, data.data(), data.size()));
       out.set_block(bi, bj,
@@ -157,8 +187,13 @@ Result<BlockedMatrix> LoadMatrix(const std::string& path) {
     } else if (kind == 2) {
       std::int64_t nnz = 0;
       FUSEME_RETURN_IF_ERROR(ReadOne(f, &nnz));
-      if (nnz < 0 || nnz > tr * tc) {
+      if (nnz < 0 || (nnz > 0 && (nnz - 1) / tc >= tr)) {  // nnz > tr * tc
         return Status::InvalidArgument("corrupt block nnz");
+      }
+      // row_ptr (tr + 1 words), then col_idx and values (nnz words each).
+      const std::int64_t words_left = BytesLeft(f, file_size) / 8;
+      if (tr >= words_left || nnz > (words_left - 1 - tr) / 2) {
+        return Status::InvalidArgument("sparse block larger than the file");
       }
       std::vector<std::int64_t> row_ptr(static_cast<std::size_t>(tr + 1));
       std::vector<std::int64_t> col_idx(static_cast<std::size_t>(nnz));
@@ -166,6 +201,9 @@ Result<BlockedMatrix> LoadMatrix(const std::string& path) {
       FUSEME_RETURN_IF_ERROR(ReadArray(f, row_ptr.data(), row_ptr.size()));
       FUSEME_RETURN_IF_ERROR(ReadArray(f, col_idx.data(), col_idx.size()));
       FUSEME_RETURN_IF_ERROR(ReadArray(f, values.data(), values.size()));
+      if (row_ptr[0] != 0) {
+        return Status::InvalidArgument("corrupt CSR row pointers");
+      }
       // Rebuild through triplets to re-validate the CSR invariants.
       std::vector<std::tuple<std::int64_t, std::int64_t, double>> triplets;
       triplets.reserve(values.size());

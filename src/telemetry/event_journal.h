@@ -3,7 +3,7 @@
 //
 // Every event carries a monotonically increasing sequence number, a
 // steady-clock timestamp (microseconds since the journal's epoch, which
-// the engine shares with its Tracer so /flightz events line up with
+// the engine shares with its Tracer so journal events line up with
 // TRACE_*.json spans), a severity, a stable catalogued id
 // (telemetry/event_names.h), and a small key/value payload.
 //
@@ -16,7 +16,7 @@
 // one, so once emitters quiesce the ring holds exactly the newest
 // `capacity` sequences).  Snapshot /
 // DumpJson lock the shards one at a time and sort by sequence, so
-// readers (the /flightz endpoint, the crash hook) run concurrently with
+// readers (a journal-file dump, the crash hook) run concurrently with
 // emitters.  Like Tracer*/MetricsRegistry*, every integration point
 // takes a nullable EventJournal* and null disables emission at the cost
 // of one pointer test.
@@ -75,7 +75,7 @@ class EventJournal {
 
   /// {"events": [{"seq": ..., "t_us": ..., "severity": "...",
   ///   "id": "...", "payload": {...}}, ...], "emitted": N, "capacity": C}
-  /// with events ordered by `seq` — what /flightz serves.
+  /// with events ordered by `seq` — the journal file's contents.
   [[nodiscard]] std::string DumpJson() const;
 
   /// Retained-event bound (post-rounding).
@@ -115,7 +115,7 @@ class EventJournal {
 };
 
 /// Parses EventJournal::DumpJson output back into events (round-trip
-/// tests and tooling over /flightz dumps).  Unknown top-level keys are
+/// tests and tooling over journal files).  Unknown top-level keys are
 /// ignored.
 Result<std::vector<JournalEvent>> ParseJournalJson(const std::string& json);
 

@@ -2,7 +2,7 @@
 //
 // Every event the engine emits into an EventJournal uses one of these
 // ids, the same contract metric_names.h gives instruments and the
-// verifier gives rule ids — dashboards, tests, and the /flightz endpoint
+// verifier gives rule ids — dashboards, tests, and journal-file readers
 // reference them without string drift, and `fuseme_lint` (rules
 // lint-event-literal / lint-event-dead) rejects inline ids and dead
 // catalogue entries.  Ids follow the shape `fuseme.<subsystem>.<event>`

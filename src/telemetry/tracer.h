@@ -57,7 +57,7 @@ class Tracer {
   Tracer& operator=(const Tracer&) = delete;
 
   /// The zero point of every *_us field in this tracer's spans.  The
-  /// engine hands this epoch to its EventJournal so /flightz
+  /// engine hands this epoch to its EventJournal so journal
   /// timestamps line up with TRACE_*.json.
   [[nodiscard]] std::chrono::steady_clock::time_point epoch() const {
     return epoch_;

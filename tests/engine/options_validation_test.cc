@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "compile_execute.h"
 #include "engine/compiled_plan.h"
 #include "engine/engine.h"
@@ -134,13 +136,6 @@ TEST(OptionsValidationTest, RejectsBadObservability) {
   EngineOptions o = SmallValid();
   o.observability.journal_capacity = -1;
   EXPECT_TRUE(o.Validate().IsInvalidArgument());
-  o = SmallValid();
-  o.observability.exporter_port = 70000;
-  EXPECT_TRUE(o.Validate().IsInvalidArgument());
-  // The exporter needs at least one source.
-  o = SmallValid();
-  o.observability.exporter_port = 0;
-  EXPECT_TRUE(o.Validate().IsInvalidArgument());
   // Crash dump needs the journal it would dump.
   o = SmallValid();
   o.observability.crash_dump = true;
@@ -152,27 +147,23 @@ TEST(OptionsValidationTest, AcceptsEnabledObservability) {
   EngineOptions o = SmallValid();
   o.metrics = &registry;
   o.observability.journal_capacity = 128;
-  o.observability.exporter_port = 0;
   o.observability.crash_dump = true;
   EXPECT_TRUE(o.Validate().ok());
 }
 
-TEST(OptionsValidationTest, EngineCreateStartsObservabilityPlane) {
+TEST(OptionsValidationTest, EngineCreateBuildsTheJournal) {
   MetricsRegistry registry;
   EngineOptions o = SmallValid();
   o.metrics = &registry;
   o.observability.journal_capacity = 64;
-  o.observability.exporter_port = 0;
   Result<Engine> engine = Engine::Create(o);
   ASSERT_TRUE(engine.ok()) << engine.status();
   EXPECT_NE(engine->journal(), nullptr);
-  EXPECT_GT(engine->exporter_port(), 0);
 
-  // Disabled plane: no journal, no exporter.
+  // Default options: no journal.
   Result<Engine> plain = Engine::Create(SmallValid());
   ASSERT_TRUE(plain.ok());
   EXPECT_EQ(plain->journal(), nullptr);
-  EXPECT_EQ(plain->exporter_port(), -1);
 }
 
 TEST(OptionsValidationTest, EngineOwnedJournalRecordsEachExecute) {
@@ -189,7 +180,6 @@ TEST(OptionsValidationTest, EngineOwnedJournalRecordsEachExecute) {
   o.observability.journal_capacity = 512;
   const Engine engine = MakeEngine(o);
   ASSERT_NE(engine.journal(), nullptr);
-  EXPECT_EQ(engine.journal(), engine.observability()->journal());
   Result<CompiledPlan> compiled = engine.Compile(q.dag);
   ASSERT_TRUE(compiled.ok()) << compiled.status();
   for (int i = 0; i < 2; ++i) {
@@ -205,6 +195,44 @@ TEST(OptionsValidationTest, EngineOwnedJournalRecordsEachExecute) {
   EXPECT_EQ(engine.journal()->overwritten(), 0);
   EXPECT_EQ(starts, 2);
   EXPECT_EQ(finishes, 2);
+}
+
+TEST(OptionsValidationTest, EngineCopiesShareTheJournal) {
+  // Copies of an engine share its journal, which lives as long as the
+  // last copy.
+  EngineOptions o = SmallValid();
+  o.observability.journal_capacity = 64;
+  std::optional<Engine> original = MakeEngine(o);
+  const Engine copy = *original;
+  ASSERT_NE(copy.journal(), nullptr);
+  EXPECT_EQ(copy.journal(), original->journal());
+  original.reset();
+  copy.journal()->Emit(LogLevel::kInfo, event_names::kRunStart);
+  EXPECT_EQ(copy.journal()->total_emitted(), 1);
+}
+
+/// Runs GNMF once on an engine with the crash dump on, then fails a
+/// FUSEME_CHECK.
+void RunOnceThenFailCheck() {
+  GnmfQuery q = BuildGnmf(26, 20, 6, /*x_nnz=*/104);
+  std::map<NodeId, BlockedMatrix> inputs;
+  inputs[q.X] = BlockedMatrix::FromSparse(
+      RandomSparse(26, 20, 0.2, /*seed=*/51, 1.0, 5.0), 8);
+  inputs[q.V] = BlockedMatrix::FromDense(RandomDense(26, 6, 52), 8);
+  inputs[q.U] = BlockedMatrix::FromDense(RandomDense(6, 20, 53), 8);
+  EngineOptions o = SmallValid();
+  o.observability.journal_capacity = 64;
+  o.observability.crash_dump = true;
+  const Engine engine = MakeEngine(o);
+  FUSEME_CHECK(CompileAndExecute(engine, q.dag, inputs).ok());
+  FUSEME_CHECK(inputs.empty()) << "deliberate failure";
+}
+
+TEST(OptionsValidationDeathTest, CrashDumpWritesTheEngineJournal) {
+  // The crash dump writes the engine-owned journal, run-start event
+  // included, to stderr before the process aborts.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(RunOnceThenFailCheck(), "fuseme\\.engine\\.run_start");
 }
 
 TEST(OptionsValidationTest, EngineCreateRejectsInvalidOptions) {
