@@ -12,8 +12,8 @@ namespace fuseme {
 
 namespace {
 
-/// Set while a thread is executing a task for some pool; used to collapse
-/// nested ParallelFor calls.
+/// Set on a pool's worker threads; a nested ParallelFor from a worker
+/// borrows only idle workers.
 thread_local const ThreadPool* current_pool = nullptr;
 
 }  // namespace
@@ -62,7 +62,11 @@ void ThreadPool::WorkerLoop() {
     std::function<void()> task;
     {
       MutexLock lock(mu_);
-      while (!shutdown_ && queue_.empty()) cv_.Wait(mu_);
+      while (!shutdown_ && queue_.empty()) {
+        idle_.fetch_add(1, std::memory_order_relaxed);
+        cv_.Wait(mu_);
+        idle_.fetch_sub(1, std::memory_order_relaxed);
+      }
       if (queue_.empty()) return;  // shutdown with a drained queue
       task = std::move(queue_.front());
       queue_.pop_front();
@@ -81,61 +85,82 @@ void ThreadPool::ParallelFor(std::int64_t begin, std::int64_t end,
     helpers = std::min<std::int64_t>(helpers, max_parallelism - 1);
   }
   helpers = std::min(helpers, n - 1);
-  if (helpers <= 0 || InWorker()) {
+  if (helpers > 0 && InWorker()) {
+    // A nested loop borrows only the workers idle right now; when every
+    // worker is busy it runs inline.  The count is a racy hint: a helper
+    // that starts late is harmless (see below), just useless.
+    helpers = std::min<std::int64_t>(helpers,
+                                     idle_.load(std::memory_order_relaxed));
+  }
+  if (helpers <= 0) {
     for (std::int64_t i = begin; i < end; ++i) fn(i);
     return;
   }
 
-  // Shared loop state.  Helpers hold the state via shared_ptr, so a helper
-  // that is dequeued late (even after this frame returned — impossible
-  // here because we join every future, but cheap insurance) finds the
-  // range exhausted instead of touching freed memory.
+  // Shared loop state.  The caller drains the range, then closes it and
+  // waits only for helpers already inside Drain (in_flight); a helper
+  // still queued behind busy workers is never waited for.  When it starts
+  // it finds the range closed and returns without touching `fn` — the
+  // shared_ptr keeps the state alive for it after this frame is gone.
   struct State {
     std::atomic<std::int64_t> next;
     std::int64_t end = 0;
     const std::function<void(std::int64_t)>* fn = nullptr;
     std::atomic<bool> abort{false};
     Mutex mu;
+    CondVar helpers_done;
+    bool closed GUARDED_BY(mu) = false;
+    int in_flight GUARDED_BY(mu) = 0;
     std::exception_ptr error GUARDED_BY(mu);
     std::int64_t error_index GUARDED_BY(mu) =
         std::numeric_limits<std::int64_t>::max();
+
+    void Drain() {
+      while (!abort.load(std::memory_order_relaxed)) {
+        const std::int64_t i = next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= end) return;
+        try {
+          (*fn)(i);
+        } catch (...) {
+          MutexLock lock(mu);
+          if (i < error_index) {
+            error_index = i;
+            error = std::current_exception();
+          }
+          abort.store(true, std::memory_order_relaxed);
+        }
+      }
+    }
   };
   auto state = std::make_shared<State>();
   state->next.store(begin, std::memory_order_relaxed);
   state->end = end;
   state->fn = &fn;
 
-  auto drain = [](const std::shared_ptr<State>& s) {
-    while (!s->abort.load(std::memory_order_relaxed)) {
-      const std::int64_t i = s->next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= s->end) return;
-      try {
-        (*s->fn)(i);
-      } catch (...) {
-        MutexLock lock(s->mu);
-        if (i < s->error_index) {
-          s->error_index = i;
-          s->error = std::current_exception();
-        }
-        s->abort.store(true, std::memory_order_relaxed);
-      }
-    }
-  };
-
-  std::vector<std::future<void>> futures;
-  futures.reserve(helpers);
   for (std::int64_t h = 0; h < helpers; ++h) {
-    futures.push_back(Submit([state, drain]() { drain(state); }));
+    Enqueue([state]() {
+      {
+        MutexLock lock(state->mu);
+        if (state->closed) return;
+        ++state->in_flight;
+      }
+      state->Drain();
+      MutexLock lock(state->mu);
+      if (--state->in_flight == 0 && state->closed) {
+        state->helpers_done.NotifyAll();
+      }
+    });
   }
-  drain(state);
-  for (std::future<void>& future : futures) future.get();
-  // Move the exception out of the shared state before rethrowing: a helper
-  // may drop the last State reference on its own thread after we return,
-  // and the caller must be able to inspect the caught exception without
-  // racing that release.
+  state->Drain();
+  // Move the exception out of the shared state before rethrowing: a
+  // queued helper may drop the last State reference on its own thread
+  // after we return, and the caller must be able to inspect the caught
+  // exception without racing that release.
   std::exception_ptr error;
   {
     MutexLock lock(state->mu);
+    state->closed = true;
+    while (state->in_flight > 0) state->helpers_done.Wait(state->mu);
     error = std::move(state->error);
     state->error = nullptr;
   }

@@ -6,16 +6,16 @@
 //                      result (or the exception fn threw).
 //  * ParallelFor     — runs fn(i) over an index range with dynamic
 //                      scheduling; the calling thread participates, so the
-//                      loop completes even when every worker is busy.  A
-//                      ParallelFor issued from inside a worker runs inline
-//                      (nested parallelism collapses instead of
-//                      deadlocking).
+//                      loop completes even when every worker is busy.  The
+//                      caller waits only for helpers that actually started
+//                      on the loop, never for one still queued.
 //
-// A process-wide pool (GlobalThreadPool) serves both task-level parallelism
-// in the distributed operators and kernel-level parallelism in the block
-// GEMM: operator work items run on the pool, so the kernels they invoke
-// detect they are already on a worker and stay serial — one level of
-// parallelism, never oversubscription.
+// A process-wide pool (GlobalThreadPool) serves every level of
+// parallelism: operator work items, the k-slice groups of a cuboid
+// column, and the row slabs of the block GEMM and sparse kernels.  Loops
+// nest: a ParallelFor issued from a worker borrows only the workers that
+// are idle at that moment and runs inline when none is, so nesting never
+// oversubscribes the pool and never deadlocks.
 //
 // Sizing: GlobalParallelism() defaults to FUSEME_THREADS (env) or
 // std::thread::hardware_concurrency(); SetGlobalThreadPoolThreads overrides
@@ -25,6 +25,7 @@
 #ifndef FUSEME_COMMON_THREAD_POOL_H_
 #define FUSEME_COMMON_THREAD_POOL_H_
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -78,7 +79,11 @@ class ThreadPool {
   /// after the loop drains; remaining unclaimed indices are skipped once an
   /// exception occurs.  `max_parallelism` caps the number of threads
   /// working on the loop, caller included (0 = no cap; 1 = inline serial,
-  /// in index order).  Nested calls from a worker thread run inline.
+  /// in index order).  A call from a worker enqueues at most as many
+  /// helpers as there are idle workers, running inline when there are
+  /// none.  The caller returns once the range is done and every helper
+  /// that joined it has left; helpers still queued then find the range
+  /// closed and return at once.
   void ParallelFor(std::int64_t begin, std::int64_t end,
                    const std::function<void(std::int64_t)>& fn,
                    int max_parallelism = 0);
@@ -91,6 +96,9 @@ class ThreadPool {
   CondVar cv_;
   std::deque<std::function<void()>> queue_ GUARDED_BY(mu_);
   bool shutdown_ GUARDED_BY(mu_) = false;
+  /// Workers blocked waiting for a task.  Written under mu_ by WorkerLoop,
+  /// read without it by ParallelFor as a sizing hint.
+  std::atomic<int> idle_{0};
   /// Written only by the constructor, before any worker can observe the
   /// pool; read-only afterwards, so unguarded.
   std::vector<std::thread> workers_;

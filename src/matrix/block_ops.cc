@@ -303,8 +303,8 @@ Status MatMulAcc(DenseMatrix* acc, const Block& a, const Block& b,
   // Dense × dense: cache-blocked i/k/j kernel.  Row slabs are independent
   // (each writes its own rows of acc), so large products split over the
   // global pool; a call issued from inside a pool worker — i.e. from a
-  // parallel distributed operator — runs inline, keeping exactly one level
-  // of parallelism.
+  // parallel distributed operator — borrows only the workers idle at that
+  // moment and runs inline when there are none.
   const DenseMatrix& da = a.dense();
   const DenseMatrix& db = b.dense();
   const std::int64_t slabs = (m + kGemmRowTile - 1) / kGemmRowTile;

@@ -37,8 +37,8 @@ void AddFlops(std::int64_t* flops, std::int64_t amount) {
 /// one range) otherwise.  Ranges are disjoint, and every kernel below
 /// keeps the serial per-row order inside a range, so the output is
 /// bitwise-identical either way.  A call issued from inside a pool worker
-/// (a parallel distributed operator) runs inline — one level of
-/// parallelism, like the dense GEMM.
+/// (a parallel distributed operator) borrows only idle workers and runs
+/// inline when there are none, like the dense GEMM.
 void ForRowSlabs(std::int64_t rows, std::int64_t est_flops,
                  const std::function<void(std::int64_t, std::int64_t)>& range) {
   const std::int64_t slabs = (rows + kSparseRowSlab - 1) / kSparseRowSlab;

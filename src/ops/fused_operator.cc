@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <deque>
 #include <memory>
 #include <set>
 #include <string>
@@ -126,6 +127,13 @@ class TaskFetcher {
   /// Marks a block as already resident on `task` (broadcast pre-charge).
   void MarkResident(int task, NodeId id, std::int64_t bi, std::int64_t bj) {
     fetched_[task].insert({id, bi, bj});
+  }
+
+  /// Takes over `from`'s resident sets, so later fetches dedup against
+  /// what `from` already fetched (a cuboid column's phase 2 continues its
+  /// group 0's task).
+  void InheritFetched(TaskFetcher* from) {
+    fetched_ = std::move(from->fetched_);
   }
 
  private:
@@ -321,6 +329,101 @@ struct SparseKernelFlushGuard {
   SparseKernelStats before;
 };
 
+/// Names the calling thread in the trace by its role: a pool worker or the
+/// driver thread that launched the stage.
+void NameTraceThread(Tracer* tracer) {
+  if (tracer == nullptr) return;
+  tracer->NameCurrentThread(GlobalThreadPool()->InWorker() ? "pool-worker"
+                                                           : "driver");
+}
+
+/// One W-group of a cuboid column's phase 1.  The group owns its leader
+/// task outright, so it fetches and charges through its own fetcher and
+/// accounting, and buffers its merged partials until every earlier group
+/// has been merged into the column.
+struct KGroup {
+  KGroup(const FusedInputs* inputs, StageContext* ctx, int leader_task)
+      : leader(leader_task), local(ctx), fetcher(inputs, &local) {}
+
+  const int leader;
+  LocalStageAccounting local;
+  TaskFetcher fetcher;  // charges `local`, so the group must not move
+  std::map<Coord, Block> partials;
+  Status status;
+};
+
+/// Merges a cuboid column's phase-1 groups into the column in group
+/// order, on whichever thread finishes them: a finished group is parked,
+/// and the thread that finishes the next group in order merges every
+/// parked group it unblocks.  Merging in group order replays the serial
+/// r-ascending charge and first-seen summation sequence exactly, and each
+/// merged group's partials are freed at once, so a serial run holds at
+/// most two partial sets.  Merging stops at the first failing group, so
+/// the error that surfaces is the one a serial run would hit first.
+class KGroupMerger {
+ public:
+  KGroupMerger(std::deque<KGroup>* groups, LocalStageAccounting* column,
+               std::map<Coord, Block>* partials)
+      : groups_(groups),
+        column_(column),
+        partials_(partials),
+        finished_(groups->size(), false) {}
+
+  /// Marks group `g` finished and merges every group it unblocks.
+  void Finish(std::size_t g) {
+    MutexLock lock(mu_);
+    finished_[g] = true;
+    while (status_.ok() && next_ < finished_.size() && finished_[next_]) {
+      status_ = Merge(next_);
+      ++next_;
+    }
+  }
+
+  /// The first failure in group order; OK once every group merged.
+  Status status() const {
+    MutexLock lock(mu_);
+    return status_;
+  }
+
+ private:
+  Status Merge(std::size_t g) REQUIRES(mu_) {
+    KGroup& group = (*groups_)[g];
+    FUSEME_RETURN_IF_ERROR(group.status);
+    FUSEME_RETURN_IF_ERROR(column_->Absorb(&group.local));
+    const int root_task = groups_->front().leader;
+    // std::map iterates in the same (bi, bj) order the coords were
+    // evaluated in, so the column-wide merge keeps the per-coordinate
+    // r-ascending summation order.
+    for (auto& [coord, block] : group.partials) {
+      if (group.leader != root_task) {
+        // Shuffle to the r=0 task in the aggregation step.
+        column_->ChargeAggregation(group.leader, block.SizeBytes());
+      }
+      auto it = partials_->find(coord);
+      if (it == partials_->end()) {
+        FUSEME_RETURN_IF_ERROR(
+            column_->ChargeMemory(root_task, block.SizeBytes()));
+        partials_->emplace(coord, std::move(block));
+      } else {
+        FUSEME_ASSIGN_OR_RETURN(
+            it->second, MergeAgg(AggFn::kSum, it->second, block, nullptr));
+      }
+    }
+    group.partials.clear();
+    return Status::OK();
+  }
+
+  // Set at construction; the pointees are touched only by Merge, which
+  // runs under mu_.
+  std::deque<KGroup>* groups_;
+  LocalStageAccounting* column_;
+  std::map<Coord, Block>* partials_;
+  mutable Mutex mu_;
+  std::vector<bool> finished_ GUARDED_BY(mu_);
+  std::size_t next_ GUARDED_BY(mu_) = 0;
+  Status status_ GUARDED_BY(mu_);
+};
+
 /// The work of one item, charged against a per-attempt local accounting.
 /// Must be idempotent: the retry loop re-invokes it with a fresh
 /// accounting after an injected failure, and the item's buffered outputs
@@ -358,11 +461,7 @@ void RunItems(StageContext* ctx, int threads, std::vector<WorkItem>* items,
       injector != nullptr ? std::max(policy.max_attempts, 1) : 1;
   auto run_one = [&](std::int64_t i) {
     const auto start = std::chrono::steady_clock::now();
-    if (tracer != nullptr) {
-      tracer->NameCurrentThread(GlobalThreadPool()->InWorker()
-                                    ? "pool-worker"
-                                    : "driver");
-    }
+    NameTraceThread(tracer);
     if (ins.queue_wait_seconds != nullptr) {
       ins.queue_wait_seconds->Observe(
           std::chrono::duration<double>(start - enqueue).count());
@@ -619,10 +718,9 @@ Result<DistributedMatrix> CuboidFusedOperator::Execute(
                                      PartitionScheme::kGrid, num_tasks);
   }
 
-  // One work item per non-empty (p, q) cuboid column; the R k-slices of a
-  // column are phases of the same item (phase 2 consumes phase 1's
-  // partials, and the r-ascending shuffle-merge keeps the first-writer
-  // order deterministic).
+  // One work item per non-empty (p, q) cuboid column.  Phase 2 consumes
+  // phase 1's partials, so both phases stay in the column's item; phase
+  // 1's k-groups run as a nested parallel loop inside it.
   std::vector<Coord> columns;
   columns.reserve(static_cast<std::size_t>(eff_p * eff_q));
   for (std::int64_t p = 0; p < eff_p; ++p) {
@@ -642,9 +740,8 @@ Result<DistributedMatrix> CuboidFusedOperator::Execute(
            [&](std::int64_t idx, LocalStageAccounting* local_ptr) -> Status {
     const auto [p, q] = columns[static_cast<std::size_t>(idx)];
     WorkItem& item = items[static_cast<std::size_t>(idx)];
-    ScopedSpan span(ctx->tracer(),
-                    "cuboid column (" + std::to_string(p) + "," +
-                        std::to_string(q) + ")",
+    const std::string pq = std::to_string(p) + "," + std::to_string(q);
+    ScopedSpan span(ctx->tracer(), "cuboid column (" + pq + ")",
                     "work-item");
     span.AddArg("stage", ctx->label());
     LocalStageAccounting& local = *local_ptr;
@@ -667,23 +764,26 @@ Result<DistributedMatrix> CuboidFusedOperator::Execute(
     // dedups per task, so the sparse mask is charged once per group, not
     // once per slice) and the group's partials merge locally before
     // crossing into the column-wide map — only one aggregation transfer
-    // per group.  Slices and groups proceed r-ascending and both merge
-    // levels sum in first-seen order, so the result is bitwise-identical
-    // to W = 1 and to any serial execution.
+    // per group.  Groups run in parallel and KGroupMerger folds them into
+    // the column in group order; slices within a group and groups within
+    // the column both sum in first-seen order, so the result is
+    // bitwise-identical to W = 1 and to a serial execution.
     std::map<Coord, Block> mm_partials;
     if (eff_r > 1) {
-      ScopedSpan phase1(ctx->tracer(),
-                        "phase1 partial-mm (" + std::to_string(p) + "," +
-                            std::to_string(q) + ")",
+      ScopedSpan phase1(ctx->tracer(), "phase1 partial-mm (" + pq + ")",
                         "phase");
-      for (std::int64_t g0 = 0; g0 < eff_r; g0 += eff_w) {
-        const std::int64_t g1 = std::min(eff_r, g0 + eff_w);
-        const int leader = task_id(p, q, g0);
-        std::map<Coord, Block> group_partials;
-        for (std::int64_t r = g0; r < g1; ++r) {
+      std::deque<KGroup> groups;  // never relocates: fetchers hold &local
+      for (std::int64_t g = 0; g < eff_groups; ++g) {
+        groups.emplace_back(&inputs, ctx, task_id(p, q, g * eff_w));
+      }
+      KGroupMerger merger(&groups, &local, &mm_partials);
+      auto eval_group = [&](std::int64_t g) -> Status {
+        KGroup& group = groups[static_cast<std::size_t>(g)];
+        for (std::int64_t r = g * eff_w; r < std::min(eff_r, (g + 1) * eff_w);
+             ++r) {
           const auto [k0, k1] = k_parts[r];
           if (k0 == k1) continue;
-          KernelEvaluator eval(&plan, bs, fetcher.For(leader));
+          KernelEvaluator eval(&plan, bs, group.fetcher.For(group.leader));
           eval.RestrictK(mm, k0, k1);
           if (driver.found()) eval.SetSparseDriver(driver);
           for (const auto& [bi, bj] : coords) {
@@ -692,45 +792,41 @@ Result<DistributedMatrix> CuboidFusedOperator::Execute(
                     ? eval.EvalMaskedNode(mm, driver.sparse_input, bi, bj)
                     : eval.Eval(mm, bi, bj);
             FUSEME_RETURN_IF_ERROR(partial.status());
-            auto it = group_partials.find({bi, bj});
-            if (it == group_partials.end()) {
-              group_partials.emplace(Coord{bi, bj}, std::move(*partial));
+            auto it = group.partials.find({bi, bj});
+            if (it == group.partials.end()) {
+              group.partials.emplace(Coord{bi, bj}, std::move(*partial));
             } else {
               FUSEME_ASSIGN_OR_RETURN(
                   it->second,
                   MergeAgg(AggFn::kSum, it->second, *partial, nullptr));
             }
           }
-          local.ChargeFlops(leader, eval.flops());
+          group.local.ChargeFlops(group.leader, eval.flops());
           ins.FlushEvaluator(eval);
         }
-        // Commit the group's merged partials.  std::map iterates in the
-        // same (bi, bj) order the coords were evaluated in, so the
-        // column-wide merge keeps the per-coordinate r-ascending
-        // summation order.
-        for (auto& [coord, block] : group_partials) {
-          if (leader != task_id(p, q, 0)) {
-            // Shuffle to the r=0 task in the aggregation step.
-            local.ChargeAggregation(leader, block.SizeBytes());
-          }
-          auto it = mm_partials.find(coord);
-          if (it == mm_partials.end()) {
-            FUSEME_RETURN_IF_ERROR(local.ChargeMemory(
-                task_id(p, q, 0), block.SizeBytes()));
-            mm_partials.emplace(coord, std::move(block));
-          } else {
-            FUSEME_ASSIGN_OR_RETURN(
-                it->second,
-                MergeAgg(AggFn::kSum, it->second, block, nullptr));
-          }
-        }
+        return Status::OK();
+      };
+      auto run_group = [&](std::int64_t g) {
+        NameTraceThread(ctx->tracer());
+        ScopedSpan group_span(
+            ctx->tracer(),
+            "phase1 k-group (" + pq + "," + std::to_string(g) + ")", "phase");
+        groups[static_cast<std::size_t>(g)].status = eval_group(g);
+        merger.Finish(static_cast<std::size_t>(g));
+      };
+      if (threads > 1) {
+        GlobalThreadPool()->ParallelFor(0, eff_groups, run_group, threads);
+      } else {
+        for (std::int64_t g = 0; g < eff_groups; ++g) run_group(g);
       }
+      FUSEME_RETURN_IF_ERROR(merger.status());
+      // Phase 2 evaluates on the r=0 task, which is group 0's leader:
+      // blocks group 0 already fetched are resident there.
+      fetcher.InheritFetched(&groups.front().fetcher);
     }
 
     // --- Phase 2 (or the only phase when R == 1): evaluate the root. ---
-    ScopedSpan phase2(ctx->tracer(),
-                      "phase2 root-eval (" + std::to_string(p) + "," +
-                          std::to_string(q) + ")",
+    ScopedSpan phase2(ctx->tracer(), "phase2 root-eval (" + pq + ")",
                       "phase");
     KernelEvaluator eval(&plan, bs, fetcher.For(item.task));
     if (driver.found()) eval.SetSparseDriver(driver);

@@ -9,6 +9,9 @@
 //    (replication emerges from overlapping fetch sets).  R>1 runs in two
 //    phases: partial (optionally mask-exploiting) matmuls per k-slice,
 //    then a shuffle-merge and the O-space evaluation on the r=0 tasks.
+//    Each (p,q) column is one work item; its phase-1 k-slice groups run
+//    in parallel inside it and merge in group order, so outputs and
+//    accounting match a serial run bit for bit.
 //    RFO is the special case (P,Q,R) = (I,J,1); plans without a matmul run
 //    with R = 1 as plain Cell fusion.
 //

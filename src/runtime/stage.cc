@@ -18,6 +18,25 @@ Status OverBudget(const std::string& label, int task, std::int64_t used,
       HumanBytes(static_cast<double>(budget)));
 }
 
+/// The one rule for folding a finished work item's (or k-group's)
+/// accumulators for `task` into an enclosing record: plain sums, a peak
+/// that stacks the item's peak on the memory already live, and the budget
+/// re-checked on the merged total.
+Status MergeTaskAccounting(const std::string& label, int task,
+                           std::int64_t budget, const TaskAccounting& from,
+                           TaskAccounting* into) {
+  into->consolidation_bytes += from.consolidation_bytes;
+  into->aggregation_bytes += from.aggregation_bytes;
+  into->flops += from.flops;
+  into->memory_peak =
+      std::max(into->memory_peak, into->memory_used + from.memory_peak);
+  into->memory_used += from.memory_used;
+  if (into->memory_used > budget) {
+    return OverBudget(label, task, into->memory_used, budget);
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 TaskAccounting& StageContext::GrowTo(int task) {
@@ -64,18 +83,8 @@ void StageContext::ReleaseMemory(int task, std::int64_t bytes) {
 
 Status StageContext::MergeTask(int task, const TaskAccounting& local) {
   MutexLock lock(merge_mu_);
-  TaskAccounting& acct = GrowTo(task);
-  acct.consolidation_bytes += local.consolidation_bytes;
-  acct.aggregation_bytes += local.aggregation_bytes;
-  acct.flops += local.flops;
-  acct.memory_peak =
-      std::max(acct.memory_peak, acct.memory_used + local.memory_peak);
-  acct.memory_used += local.memory_used;
-  if (acct.memory_used > config_.task_memory_budget) {
-    return OverBudget(label_, task, acct.memory_used,
-                      config_.task_memory_budget);
-  }
-  return Status::OK();
+  return MergeTaskAccounting(label_, task, config_.task_memory_budget, local,
+                             &GrowTo(task));
 }
 
 void StageContext::ConfigureRecovery(const FaultInjector* injector,
@@ -161,6 +170,18 @@ void LocalStageAccounting::ReleaseMemory(int task, std::int64_t bytes) {
   TaskAccounting& acct = tasks_[task];
   acct.memory_used -= bytes;
   FUSEME_CHECK_GE(acct.memory_used, 0);
+}
+
+Status LocalStageAccounting::Absorb(LocalStageAccounting* other) {
+  Status first;
+  for (const auto& [task, acct] : other->tasks_) {
+    Status s = MergeTaskAccounting(parent_->label(), task,
+                                   config().task_memory_budget, acct,
+                                   &tasks_[task]);
+    if (!s.ok() && first.ok()) first = std::move(s);
+  }
+  other->tasks_.clear();
+  return first;
 }
 
 Status LocalStageAccounting::Flush() {

@@ -176,11 +176,12 @@ class StageContext : public StageAccounting {
   StageRecovery recovery_ GUARDED_BY(merge_mu_);
 };
 
-/// Task-local accounting for one work item of a parallel operator.  Not
-/// thread-safe (each work item owns one); Flush() folds every touched task
-/// into the parent StageContext via MergeTask.  The per-task memory budget
-/// is enforced locally too, so an over-replicating item fails fast with the
-/// same OutOfMemory message a serial run would produce.
+/// Task-local accounting for one work item of a parallel operator, or for
+/// one k-group inside a cuboid column.  Not thread-safe (each owner has
+/// its own); Flush() folds every touched task into the parent StageContext
+/// via MergeTask.  The per-task memory budget is enforced locally too, so
+/// an over-replicating item fails fast with the same OutOfMemory message a
+/// serial run would produce.
 class LocalStageAccounting final : public StageAccounting {
  public:
   explicit LocalStageAccounting(StageContext* parent) : parent_(parent) {}
@@ -192,6 +193,12 @@ class LocalStageAccounting final : public StageAccounting {
   void ChargeFlops(int task, std::int64_t flops) override;
   Status ChargeMemory(int task, std::int64_t bytes) override;
   void ReleaseMemory(int task, std::int64_t bytes) override;
+
+  /// Folds every task charged in `other` into this accounting by the same
+  /// rule as StageContext::MergeTask, then clears `other`.  Used to merge
+  /// a cuboid column's k-groups into the column's item in group order.
+  /// Returns the first budget error, if any.
+  Status Absorb(LocalStageAccounting* other);
 
   /// Merges every charged task into the parent context (thread-safe) and
   /// clears the local state.  Returns the first merge error, if any.

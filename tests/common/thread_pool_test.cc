@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
+
+#include "common/synchronization.h"
 
 namespace fuseme {
 namespace {
@@ -107,19 +115,123 @@ TEST(ThreadPoolTest, SerialParallelForRethrowsFirstException) {
   EXPECT_EQ(last_seen, 10);
 }
 
-TEST(ThreadPoolTest, NestedParallelForRunsInlineOnWorker) {
+TEST(ThreadPoolTest, NestedParallelForCompletesWithAllWorkersBusy) {
   ThreadPool pool(3);
-  std::atomic<int> total{0};
-  pool.ParallelFor(0, 8, [&](std::int64_t) {
-    // From a pool thread (or the caller), the inner loop must complete
-    // without deadlocking even though every worker may be busy with the
-    // outer loop.
-    int inner = 0;
-    pool.ParallelFor(0, 16, [&](std::int64_t) { ++inner; });
-    EXPECT_EQ(inner, 16);
-    total.fetch_add(inner);
+  // Park two workers on a gate, then run a nested loop on the third: no
+  // worker is idle, so the loop must finish on its caller alone instead of
+  // waiting for helpers that cannot start until the gate opens.
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  std::atomic<int> parked{0};
+  std::vector<std::future<void>> blockers;
+  for (int b = 0; b < 2; ++b) {
+    blockers.push_back(pool.Submit([&parked, opened] {
+      parked.fetch_add(1);
+      opened.wait();
+    }));
+  }
+  while (parked.load() < 2) std::this_thread::yield();
+  auto nested = pool.Submit([&pool] {
+    std::atomic<int> inner{0};
+    pool.ParallelFor(0, 16, [&](std::int64_t) { inner.fetch_add(1); });
+    return inner.load();
   });
-  EXPECT_EQ(total.load(), 8 * 16);
+  const bool finished =
+      nested.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  gate.set_value();
+  ASSERT_TRUE(finished) << "nested loop waited on parked workers";
+  EXPECT_EQ(nested.get(), 16);
+  for (std::future<void>& b : blockers) b.get();
+}
+
+TEST(ThreadPoolTest, NestedLoopsCoverEveryIndex) {
+  ThreadPool pool(3);
+  std::vector<std::atomic<int>> hits(8 * 16);
+  pool.ParallelFor(0, 8, [&](std::int64_t outer) {
+    pool.ParallelFor(0, 16, [&](std::int64_t inner) {
+      hits[outer * 16 + inner].fetch_add(1);
+    });
+  });
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST(ThreadPoolTest, NestedParallelForFromWorkerUsesIdleWorkers) {
+  ThreadPool pool(3);
+  // A loop started on one worker while the other two sit idle must borrow
+  // them.  Idleness is sampled as a hint, so a worker still on its way
+  // back to the queue can be missed: retry a few rounds, then require at
+  // least one round to have spread.
+  std::size_t widest = 0;
+  for (int round = 0; round < 20 && widest < 2; ++round) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    auto nested = pool.Submit([&pool] {
+      Mutex mu;
+      std::set<std::thread::id> threads;
+      pool.ParallelFor(0, 16, [&](std::int64_t) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        MutexLock lock(mu);
+        threads.insert(std::this_thread::get_id());
+      });
+      MutexLock lock(mu);
+      return threads.size();
+    });
+    widest = std::max(widest, nested.get());
+  }
+  EXPECT_GE(widest, 2u);
+}
+
+TEST(ThreadPoolTest, CallerDoesNotWaitForQueuedHelper) {
+  ThreadPool pool(1);
+  // The only worker is parked on a gate, so the helper ParallelFor queues
+  // cannot start.  The caller must drain the range itself and return.
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  std::atomic<bool> parked{false};
+  auto blocker = pool.Submit([&parked, opened] {
+    parked.store(true);
+    opened.wait();
+  });
+  while (!parked.load()) std::this_thread::yield();
+  std::atomic<int> calls{0};
+  std::atomic<int> off_caller{0};
+  auto loop = std::async(std::launch::async, [&] {
+    const std::thread::id loop_caller = std::this_thread::get_id();
+    pool.ParallelFor(0, 8, [&](std::int64_t) {
+      calls.fetch_add(1);
+      if (std::this_thread::get_id() != loop_caller) off_caller.fetch_add(1);
+    });
+  });
+  const bool returned =
+      loop.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  gate.set_value();
+  ASSERT_TRUE(returned) << "caller waited for a helper that never started";
+  loop.get();
+  blocker.get();
+  EXPECT_EQ(calls.load(), 8);
+  EXPECT_EQ(off_caller.load(), 0);
+}
+
+TEST(ThreadPoolTest, NestedParallelForRethrowsLowestIndexFirst) {
+  ThreadPool pool(3);
+  // Every index throws.  Index 0 is always claimed first and so always
+  // runs; whatever else ran, its exception is the one rethrown — at top
+  // level and from a worker alike.
+  auto lowest_failure = [&pool] {
+    try {
+      pool.ParallelFor(0, 64, [](std::int64_t i) {
+        throw std::runtime_error("fail at " + std::to_string(i));
+      });
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no exception");
+  };
+  for (int round = 0; round < 20; ++round) {
+    EXPECT_EQ(lowest_failure(), "fail at 0");
+    EXPECT_EQ(pool.Submit(lowest_failure).get(), "fail at 0");
+  }
 }
 
 TEST(ThreadPoolTest, InWorkerIsTrueOnlyOnPoolThreads) {

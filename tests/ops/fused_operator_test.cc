@@ -4,11 +4,15 @@
 #include "ops/fused_operator.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "engine/reference.h"
 #include "matrix/generators.h"
+#include "runtime/fault_injector.h"
+#include "telemetry/tracer.h"
 #include "workloads/queries.h"
 
 namespace fuseme {
@@ -235,6 +239,131 @@ TEST(CuboidFusedOperatorTest, GnmfFusedPlanMatchesReference) {
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_LE(DenseMatrix::MaxAbsDiff(result->blocks().ToDense(), *expected),
             1e-8);
+}
+
+/// Everything a cuboid run reports that must not depend on the thread
+/// count that ran it.
+struct CfoRun {
+  DenseMatrix out;
+  std::vector<TaskAccounting> tasks;
+  std::int64_t retries = 0;
+};
+
+CfoRun RunCfo(NmfCase* c, Cuboid cb, int threads,
+              const FaultInjector* injector) {
+  ClusterConfig config = TestCluster();
+  config.local_threads = threads;
+  StageContext ctx("cfo-groups", config);
+  if (injector != nullptr) {
+    ctx.ConfigureRecovery(injector, /*stage_ordinal=*/0,
+                          RetryPolicy{.max_attempts = 32});
+  }
+  auto result =
+      CuboidFusedOperator::Execute(c->Plan(), cb, c->bound.Inputs(6), &ctx);
+  FUSEME_CHECK(result.ok()) << result.status();
+  CfoRun run;
+  run.out = result->blocks().ToDense();
+  for (int t = 0; t < ctx.num_tasks(); ++t) run.tasks.push_back(ctx.task(t));
+  run.retries = ctx.recovery().retries;
+  return run;
+}
+
+void ExpectSameRun(const CfoRun& want, const CfoRun& got) {
+  ASSERT_EQ(want.out.rows(), got.out.rows());
+  ASSERT_EQ(want.out.cols(), got.out.cols());
+  EXPECT_EQ(std::memcmp(want.out.data(), got.out.data(),
+                        sizeof(double) * want.out.rows() * want.out.cols()),
+            0)
+      << "outputs differ bitwise";
+  ASSERT_EQ(want.tasks.size(), got.tasks.size());
+  for (std::size_t t = 0; t < want.tasks.size(); ++t) {
+    const TaskAccounting& a = want.tasks[t];
+    const TaskAccounting& b = got.tasks[t];
+    EXPECT_EQ(a.consolidation_bytes, b.consolidation_bytes) << "task " << t;
+    EXPECT_EQ(a.aggregation_bytes, b.aggregation_bytes) << "task " << t;
+    EXPECT_EQ(a.flops, b.flops) << "task " << t;
+    EXPECT_EQ(a.memory_used, b.memory_used) << "task " << t;
+    EXPECT_EQ(a.memory_peak, b.memory_peak) << "task " << t;
+  }
+}
+
+/// Runs the CFO's k-groups on a 4-thread global pool, restoring the
+/// previous pool size afterwards.
+class CuboidFusedOperatorKGroupTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    previous_ = GlobalParallelism();
+    SetGlobalThreadPoolThreads(4);
+  }
+  void TearDown() override { SetGlobalThreadPoolThreads(previous_); }
+
+ private:
+  int previous_ = 1;
+};
+
+TEST_P(CuboidFusedOperatorKGroupTest, GroupsAreThreadCountInvariant) {
+  // K spans 5 blocks, so R = 4 slices it unevenly and W = 3 leaves a
+  // short last group.  A sparse X makes phase 1 a masked evaluation; a
+  // dense X leaves no sparse driver.
+  const bool masked = GetParam();
+  NmfCase c(26, 22, 40, masked ? 0.1 : 1.0);
+  FaultSpec spec;
+  spec.seed = 11;
+  spec.task_failure_probability = 0.5;
+  const FaultInjector injector(spec);
+  std::int64_t total_retries = 0;
+  for (Cuboid cb : {Cuboid{1, 1, 4, 1}, Cuboid{1, 1, 4, 2},
+                    Cuboid{1, 1, 4, 3}, Cuboid{1, 1, 4, 4},
+                    Cuboid{2, 1, 2, 1}, Cuboid{2, 1, 2, 2},
+                    Cuboid{1, 2, 2, 1}, Cuboid{1, 2, 2, 2}}) {
+    SCOPED_TRACE(cb.ToString());
+    const CfoRun serial = RunCfo(&c, cb, 1, nullptr);
+    EXPECT_LE(DenseMatrix::MaxAbsDiff(serial.out, c.expected), 1e-9);
+    const CfoRun serial_faulted = RunCfo(&c, cb, 1, &injector);
+    ExpectSameRun(serial, serial_faulted);
+    total_retries += serial_faulted.retries;
+    for (int threads : {2, 3, 4, 8}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      ExpectSameRun(serial, RunCfo(&c, cb, threads, nullptr));
+      const CfoRun faulted = RunCfo(&c, cb, threads, &injector);
+      ExpectSameRun(serial, faulted);
+      EXPECT_EQ(faulted.retries, serial_faulted.retries);
+    }
+  }
+  EXPECT_GT(total_retries, 0) << "the fault schedule never fired";
+}
+
+INSTANTIATE_TEST_SUITE_P(DriverKinds, CuboidFusedOperatorKGroupTest,
+                         ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Masked" : "Dense";
+                         });
+
+TEST_F(CuboidFusedOperatorKGroupTest,
+       EachGroupRecordsASpanOnANamedThread) {
+  NmfCase c(26, 22, 40, 0.1);
+  ClusterConfig config = TestCluster();
+  config.local_threads = 4;
+  StageContext ctx("cfo-trace", config);
+  Tracer tracer;
+  ctx.set_tracer(&tracer);
+  auto result = CuboidFusedOperator::Execute(c.Plan(), Cuboid{1, 1, 4},
+                                             c.bound.Inputs(6), &ctx);
+  ASSERT_TRUE(result.ok()) << result.status();
+  const std::map<int, std::string> names = tracer.thread_names();
+  std::set<std::string> groups;
+  for (const TraceSpan& span : tracer.spans()) {
+    if (span.name.rfind("phase1 k-group ", 0) != 0) continue;
+    EXPECT_EQ(span.category, "phase");
+    groups.insert(span.name);
+    auto name = names.find(span.tid);
+    ASSERT_NE(name, names.end()) << span.name << " ran on an unnamed thread";
+    EXPECT_TRUE(name->second == "driver" || name->second == "pool-worker")
+        << name->second;
+  }
+  EXPECT_EQ(groups, (std::set<std::string>{
+                        "phase1 k-group (0,0,0)", "phase1 k-group (0,0,1)",
+                        "phase1 k-group (0,0,2)", "phase1 k-group (0,0,3)"}));
 }
 
 TEST(BroadcastFusedOperatorTest, MatchesReference) {
