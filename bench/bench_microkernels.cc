@@ -4,18 +4,22 @@
 // masked (sparsity-exploiting) path vs the dense path.
 //
 // Before the google-benchmark cases, main() runs a serial-vs-parallel GEMM
-// suite (the tiled dense kernel at 1 thread vs the machine's parallelism),
+// suite (the dense kernel at 1 thread vs the machine's parallelism) and a
+// per-variant suite (each supported ISA's kernel at the workloads' shapes),
 // verifies the results are bitwise identical, and writes the measurements
 // to BENCH_microkernels.json.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 
 #include "bench_util.h"
 #include "common/thread_pool.h"
 #include "matrix/block_ops.h"
+#include "matrix/gemm_kernel.h"
 #include "matrix/generators.h"
 #include "ops/evaluator.h"
 #include "telemetry/metric_names.h"
@@ -172,8 +176,10 @@ void RunGemmSpeedupSuite(std::vector<bench::BenchRecord>* records,
   SetGlobalThreadPoolThreads(machine);
   const double parallel = TimeGemmSeconds(a, b, &parallel_out);
 
-  if (DenseMatrix::MaxAbsDiff(serial_out.ToDense(), parallel_out.ToDense()) !=
-      0.0) {
+  const DenseMatrix serial_dense = serial_out.ToDense();
+  const DenseMatrix parallel_dense = parallel_out.ToDense();
+  if (std::memcmp(serial_dense.data(), parallel_dense.data(),
+                  sizeof(double) * serial_dense.size()) != 0) {
     std::fprintf(stderr, "FAIL: parallel GEMM result differs from serial\n");
     std::exit(1);
   }
@@ -226,6 +232,84 @@ void RunGemmSpeedupSuite(std::vector<bench::BenchRecord>* records,
   records->push_back(std::move(speedup));
 }
 
+// --- Per-variant dense GEMM kernels at the workloads' shapes. ---
+//
+// Each supported variant (gemm_kernel.h) runs single-threaded on the
+// products ae_step and gnmf_step issue (m×k×n; 16 is the autoencoder's
+// hidden width).  Every variant's output must equal the portable loop's
+// bit for bit; the suite exits non-zero otherwise.
+
+double TimeVariantSeconds(GemmVariant variant, const DenseMatrix& a,
+                          const DenseMatrix& b, DenseMatrix* out) {
+  // Best of enough repetitions to cover ~20 ms, to shave scheduler noise.
+  const std::int64_t flops = 2 * a.rows() * a.cols() * b.cols();
+  const int reps = static_cast<int>(
+      std::clamp<std::int64_t>((std::int64_t{1} << 26) / flops, 3, 200));
+  double best = 1e30;
+  for (int rep = 0; rep < reps; ++rep) {
+    DenseMatrix acc(a.rows(), b.cols());
+    const auto t0 = std::chrono::steady_clock::now();
+    DenseGemmAcc(variant, &acc, a, b);
+    const auto t1 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(acc.data());
+    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
+    *out = std::move(acc);
+  }
+  return best;
+}
+
+void RunGemmVariantSuite(std::vector<bench::BenchRecord>* records) {
+  struct Shape {
+    std::int64_t m, k, n;
+  };
+  const Shape shapes[] = {
+      {256, 256, 256}, {256, 256, 16}, {256, 16, 256},
+      {512, 512, 128}, {128, 512, 128},
+  };
+  const int machine = GlobalParallelism();
+  SetGlobalThreadPoolThreads(1);
+  std::printf("--- dense GEMM per kernel variant, 1 thread (GFLOP/s) ---\n");
+  std::printf("%-14s", "m x k x n");
+  for (GemmVariant variant : SupportedGemmVariants()) {
+    std::printf(" %10s", GemmVariantName(variant));
+  }
+  std::printf("\n");
+  std::uint64_t seed = 11;
+  for (const Shape& s : shapes) {
+    const DenseMatrix a = RandomDense(s.m, s.k, ++seed, -1.0, 1.0);
+    const DenseMatrix b = RandomDense(s.k, s.n, ++seed, -1.0, 1.0);
+    const std::int64_t flops = 2 * s.m * s.k * s.n;
+    const std::int64_t bytes = 8 * (s.m * s.k + s.k * s.n + 2 * s.m * s.n);
+    const std::string shape = std::to_string(s.m) + "x" +
+                              std::to_string(s.k) + "x" + std::to_string(s.n);
+    std::printf("%-14s", shape.c_str());
+    DenseMatrix reference;
+    for (GemmVariant variant : SupportedGemmVariants()) {
+      DenseMatrix out;
+      const double seconds = TimeVariantSeconds(variant, a, b, &out);
+      if (variant == GemmVariant::kPortable) {
+        reference = out;
+      } else if (std::memcmp(out.data(), reference.data(),
+                             sizeof(double) * out.size()) != 0) {
+        std::fprintf(stderr, "FAIL: %s GEMM %s differs from portable\n",
+                     GemmVariantName(variant), shape.c_str());
+        std::exit(1);
+      }
+      std::printf(" %10.2f", static_cast<double>(flops) / seconds / 1e9);
+      records->push_back({"dense_gemm",
+                          {{"isa", GemmVariantName(variant)},
+                           {"shape", shape},
+                           {"threads", "1"}},
+                          seconds,
+                          bytes,
+                          flops});
+    }
+    std::printf("\n");
+  }
+  std::printf("(every variant bitwise identical to portable)\n\n");
+  SetGlobalThreadPoolThreads(machine);
+}
+
 }  // namespace
 }  // namespace fuseme
 
@@ -233,6 +317,7 @@ int main(int argc, char** argv) {
   std::vector<fuseme::bench::BenchRecord> records;
   fuseme::MetricsRegistry metrics;
   fuseme::RunGemmSpeedupSuite(&records, &metrics);
+  fuseme::RunGemmVariantSuite(&records);
   if (!fuseme::bench::WriteBenchJson("microkernels", records,
                                      metrics.Snapshot().ToJson())) {
     return 1;

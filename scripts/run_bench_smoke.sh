@@ -48,9 +48,15 @@ run_and_check() {
 }
 
 # --benchmark_filter matching nothing skips the google-benchmark cases;
-# the serial-vs-parallel GEMM suite (which feeds the registry) still runs.
+# the serial-vs-parallel GEMM suite (which feeds the registry) and the
+# per-variant GEMM suite still run.  The latter exits non-zero if any
+# supported kernel variant's output differs from the portable loop's.
 run_and_check "$PWD/$BUILD_DIR/bench/bench_microkernels" \
   BENCH_microkernels.json --benchmark_filter='^$'
+if ! grep -q '"isa": "portable"' "$SCRATCH/BENCH_microkernels.json"; then
+  echo "FAIL: BENCH_microkernels.json has no per-variant dense_gemm rows" >&2
+  exit 1
+fi
 run_and_check "$PWD/$BUILD_DIR/bench/bench_fig12_operators" \
   BENCH_fig12_operators.json
 # Sparsity-aware kernels vs dense-style execution; exits non-zero if fewer

@@ -4,7 +4,7 @@
 #include <tuple>
 #include <vector>
 
-#include "common/thread_pool.h"
+#include "matrix/gemm_kernel.h"
 #include "matrix/sparse_kernels.h"
 #include "matrix/sparsity.h"
 
@@ -14,41 +14,6 @@ namespace {
 
 void AddFlops(std::int64_t* flops, std::int64_t amount) {
   if (flops != nullptr) *flops += amount;
-}
-
-// Cache-blocked dense GEMM panel sizes: 64-row slabs of A/C against
-// 256×256 panels of B, so the active B panel (512 KB) stays L2-resident
-// and each C row segment fits in L1 while k streams through it.
-constexpr std::int64_t kGemmRowTile = 64;
-constexpr std::int64_t kGemmKTile = 256;
-constexpr std::int64_t kGemmColTile = 256;
-// Below this many FLOPs the fork/join overhead beats the parallel gain.
-constexpr std::int64_t kGemmParallelFlops = 1 << 23;
-
-/// acc[i0:i1) += a[i0:i1) · b, tiled over k and j.  Per output element the
-/// k contributions accumulate in ascending order — the same order as the
-/// naive i/k/j loop — so results are bitwise-identical to the untiled
-/// kernel regardless of tile sizes or row-range splits.
-void GemmRowRange(DenseMatrix* acc, const DenseMatrix& da,
-                  const DenseMatrix& db, std::int64_t i_begin,
-                  std::int64_t i_end) {
-  const std::int64_t k = da.cols(), n = db.cols();
-  for (std::int64_t k0 = 0; k0 < k; k0 += kGemmKTile) {
-    const std::int64_t k1 = std::min(k, k0 + kGemmKTile);
-    for (std::int64_t j0 = 0; j0 < n; j0 += kGemmColTile) {
-      const std::int64_t j1 = std::min(n, j0 + kGemmColTile);
-      for (std::int64_t i = i_begin; i < i_end; ++i) {
-        double* out_row = acc->row(i);
-        const double* a_row = da.row(i);
-        for (std::int64_t kk = k0; kk < k1; ++kk) {
-          const double va = a_row[kk];
-          if (va == 0.0) continue;
-          const double* b_row = db.row(kk);
-          for (std::int64_t j = j0; j < j1; ++j) out_row[j] += va * b_row[j];
-        }
-      }
-    }
-  }
 }
 
 /// Picks the storage format for a freshly computed dense result.
@@ -300,26 +265,11 @@ Status MatMulAcc(DenseMatrix* acc, const Block& a, const Block& b,
     SpmmAccDenseSparse(acc, a.dense(), b.sparse(), flops);
     return Status::OK();
   }
-  // Dense × dense: cache-blocked i/k/j kernel.  Row slabs are independent
-  // (each writes its own rows of acc), so large products split over the
-  // global pool; a call issued from inside a pool worker — i.e. from a
-  // parallel distributed operator — borrows only the workers idle at that
-  // moment and runs inline when there are none.
-  const DenseMatrix& da = a.dense();
-  const DenseMatrix& db = b.dense();
-  const std::int64_t slabs = (m + kGemmRowTile - 1) / kGemmRowTile;
-  const std::int64_t total_flops = 2 * m * k * n;
-  if (slabs > 1 && total_flops >= kGemmParallelFlops &&
-      GlobalParallelism() > 1) {
-    GlobalThreadPool()->ParallelFor(0, slabs, [&](std::int64_t slab) {
-      const std::int64_t i_begin = slab * kGemmRowTile;
-      GemmRowRange(acc, da, db, i_begin,
-                   std::min(m, i_begin + kGemmRowTile));
-    });
-  } else {
-    GemmRowRange(acc, da, db, 0, m);
-  }
-  AddFlops(flops, total_flops);
+  // Dense × dense: the register-blocked kernel this CPU supports best
+  // (gemm_kernel.h), bitwise equal to the portable i-k-j loop and split
+  // into 64-row slabs over the pool when the product is large.
+  DenseGemmAcc(DispatchedGemmVariant(), acc, a.dense(), b.dense());
+  AddFlops(flops, 2 * m * k * n);
   return Status::OK();
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace fuseme {
 
@@ -32,7 +33,13 @@ double DenseMatrix::MaxAbsDiff(const DenseMatrix& a, const DenseMatrix& b) {
   FUSEME_CHECK_EQ(a.cols(), b.cols());
   double max_diff = 0.0;
   for (std::int64_t i = 0; i < a.size(); ++i) {
-    max_diff = std::max(max_diff, std::fabs(a.data()[i] - b.data()[i]));
+    const double x = a.data()[i], y = b.data()[i];
+    const bool x_nan = std::isnan(x), y_nan = std::isnan(y);
+    if (x_nan != y_nan) return std::numeric_limits<double>::infinity();
+    // Both NaN, or equal (which includes the same infinity, whose
+    // difference would be NaN): nothing differs here.
+    if (x_nan || x == y) continue;
+    max_diff = std::max(max_diff, std::fabs(x - y));
   }
   return max_diff;
 }

@@ -49,7 +49,9 @@ class DenseMatrix {
   /// Returns the transpose as a new matrix.
   DenseMatrix Transposed() const;
 
-  /// Max |a_ij - b_ij|; CHECKs shape equality.
+  /// Max |a_ij - b_ij|; CHECKs shape equality.  A NaN in exactly one of
+  /// a_ij, b_ij counts as +inf; NaN in both at the same position counts as
+  /// equal, as do equal infinities.
   static double MaxAbsDiff(const DenseMatrix& a, const DenseMatrix& b);
 
   bool operator==(const DenseMatrix& other) const {

@@ -4,10 +4,16 @@
 
 #include "matrix/block_ops.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
+#include "matrix/gemm_kernel.h"
 #include "matrix/generators.h"
 #include "matrix/sparsity.h"
 
@@ -303,32 +309,169 @@ TEST(MatMulAccTest, InnerDimMismatchIsInvalidArgument) {
   EXPECT_NE(st.message().find("2x3"), std::string::npos) << st;
 }
 
-// The dense GEMM is cache-blocked (64-row slabs, 256x256 panels).  Odd
-// shapes that straddle every tile boundary must match the naive triple
-// loop bitwise: the tiling reorders the loop nest but keeps each output
-// element's k-ascending accumulation order.
+// Bitwise equality: unlike MaxAbsDiff it also tells -0.0 from +0.0 and
+// one NaN payload from another.
+bool SameBits(const DenseMatrix& x, const DenseMatrix& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.data(), y.data(), sizeof(double) * x.size()) == 0;
+}
+
+// The exactness contract every dense GEMM variant meets: i-k-j, k
+// ascending, a rounded multiply then a rounded add, and no contribution
+// from an a[i][k] that compares equal to zero.  This file is built with
+// -ffp-contract=off so the compiler cannot fuse the multiply and add here.
+// With `fused` the same loop uses std::fma instead — what a contracted
+// kernel would compute.
+DenseMatrix NaiveGemmAcc(DenseMatrix acc, const DenseMatrix& a,
+                         const DenseMatrix& b, bool fused = false) {
+  for (std::int64_t i = 0; i < a.rows(); ++i) {
+    for (std::int64_t kk = 0; kk < a.cols(); ++kk) {
+      const double va = a(i, kk);
+      if (va == 0.0) continue;
+      for (std::int64_t j = 0; j < b.cols(); ++j) {
+        acc(i, j) = fused ? std::fma(va, b(kk, j), acc(i, j))
+                          : acc(i, j) + va * b(kk, j);
+      }
+    }
+  }
+  return acc;
+}
+
+// The GEMM is split into 64-row slabs across threads.  Odd shapes that
+// straddle every tile boundary must match the naive triple loop bitwise:
+// the tiling reorders the loop nest but keeps each output element's
+// k-ascending accumulation order.
 TEST(MatMulAccTest, TiledGemmMatchesNaiveBitwise) {
   const std::int64_t m = 150, k = 300, n = 280;
   DenseMatrix da = RandomDense(m, k, 71, -1.0, 1.0);
   DenseMatrix db = RandomDense(k, n, 72, -1.0, 1.0);
-
-  DenseMatrix naive(m, n);
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const double va = da(i, kk);
-      for (std::int64_t j = 0; j < n; ++j) {
-        naive(i, j) += va * db(kk, j);
-      }
-    }
-  }
+  const DenseMatrix naive = NaiveGemmAcc(DenseMatrix(m, n), da, db);
 
   DenseMatrix acc(m, n);
   std::int64_t flops = 0;
   ASSERT_TRUE(
       MatMulAcc(&acc, Block::FromDense(da), Block::FromDense(db), &flops)
           .ok());
-  EXPECT_EQ(DenseMatrix::MaxAbsDiff(acc, naive), 0.0);
+  EXPECT_TRUE(SameBits(acc, naive));
   EXPECT_EQ(flops, 2 * m * k * n);
+}
+
+// Operands on which any departure from the contract changes output bits:
+//  - uniform random values, and in column 0 an explicit tripwire: acc is
+//    -1, a[i][0] is 1+2^-30, b[0][0] is 1-2^-30 and the rest of b's
+//    column is zero, so each non-skipped cell ends at 0 with a separate
+//    multiply and add but at -2^-60 with an fma;
+//  - every fifth row of a is all zeros of both signs, and acc starts with
+//    -0.0 in places, so a dropped zero skip shows (-0.0 + +0.0 is +0.0);
+//  - every seventh row of b holds NaN, +Inf and -Inf in separate columns
+//    (every fourth column stays finite), so 0·Inf / 0·NaN leaking past the
+//    skip shows, while rows of a that are non-zero there carry them into
+//    acc;
+//  - a NaN in a at (1, 0) must propagate, as it is not equal to zero.
+// Each output cell sees at most one NaN payload, so the comparison does
+// not depend on which operand of an add the compiler puts first.
+struct GemmOperands {
+  DenseMatrix acc, a, b;
+};
+
+GemmOperands TrickyGemmOperands(std::int64_t m, std::int64_t k,
+                                std::int64_t n, std::uint64_t seed) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  GemmOperands ops{RandomDense(m, n, seed, -1.0, 1.0),
+                   RandomDense(m, k, seed + 1, -1.0, 1.0),
+                   RandomDense(k, n, seed + 2, -1.0, 1.0)};
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      if ((i + j) % 3 == 0) ops.acc(i, j) = -0.0;
+    }
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      if (i % 5 == 2) {
+        ops.a(i, kk) = kk % 2 == 0 ? 0.0 : -0.0;
+      } else if ((i + kk) % 4 == 1) {
+        ops.a(i, kk) = (i + kk) % 8 == 1 ? 0.0 : -0.0;
+      }
+    }
+  }
+  for (std::int64_t kk = 3; kk < k; kk += 7) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      if (j % 4 != 0) ops.b(kk, j) = j % 4 == 1 ? nan : j % 4 == 2 ? inf : -inf;
+    }
+  }
+  for (std::int64_t i = 0; i < m; ++i) {
+    ops.acc(i, 0) = -1.0;
+    if (ops.a(i, 0) != 0.0) ops.a(i, 0) = 1.0 + std::ldexp(1.0, -30);
+  }
+  ops.b(0, 0) = 1.0 - std::ldexp(1.0, -30);
+  for (std::int64_t kk = 1; kk < k; ++kk) ops.b(kk, 0) = 0.0;
+  if (m > 1) ops.a(1, 0) = nan;
+  return ops;
+}
+
+// Every GEMM variant this host supports, at 1 and 4 threads, and MatMulAcc
+// itself (the dispatched variant), must reproduce the naive loop bit for
+// bit on ragged shapes: 1-3 leftover rows, columns that are not a multiple
+// of the vector tile, and m=130 at k=257, n=130, which is large enough to
+// split into parallel row slabs.
+// Variants the host lacks are reported by a skip once the others ran.
+TEST(MatMulAccTest, EveryVariantMatchesScalarOracleBitwise) {
+  struct RestoreThreads {
+    int threads;
+    ~RestoreThreads() { SetGlobalThreadPoolThreads(threads); }
+  } restore{GlobalParallelism()};
+  std::uint64_t seed = 100;
+  for (std::int64_t m : {1, 3, 4, 5, 65, 130}) {
+    for (std::int64_t n : {1, 7, 8, 12, 16, 31, 32, 33, 130}) {
+      for (std::int64_t k : {1, 16, 67, 257}) {
+        SCOPED_TRACE(::testing::Message() << m << "x" << k << "x" << n);
+        const GemmOperands ops = TrickyGemmOperands(m, k, n, seed += 3);
+        const DenseMatrix want = NaiveGemmAcc(ops.acc, ops.a, ops.b);
+        // The inputs really are a tripwire for contraction.
+        ASSERT_FALSE(
+            SameBits(want, NaiveGemmAcc(ops.acc, ops.a, ops.b, true)));
+        for (int threads : {1, 4}) {
+          SetGlobalThreadPoolThreads(threads);
+          for (GemmVariant variant : SupportedGemmVariants()) {
+            DenseMatrix got = ops.acc;
+            DenseGemmAcc(variant, &got, ops.a, ops.b);
+            EXPECT_TRUE(SameBits(got, want))
+                << GemmVariantName(variant) << " at " << threads
+                << " threads";
+          }
+          DenseMatrix got = ops.acc;
+          ASSERT_TRUE(MatMulAcc(&got, Block::FromDense(ops.a),
+                                Block::FromDense(ops.b))
+                          .ok());
+          EXPECT_TRUE(SameBits(got, want))
+              << "MatMulAcc (" << GemmVariantName(DispatchedGemmVariant())
+              << ") at " << threads << " threads";
+        }
+      }
+    }
+  }
+
+  std::string missing;
+  for (GemmVariant variant :
+       {GemmVariant::kPortable, GemmVariant::kAvx2, GemmVariant::kAvx512}) {
+    const auto& supported = SupportedGemmVariants();
+    if (std::find(supported.begin(), supported.end(), variant) ==
+        supported.end()) {
+      missing += std::string(" ") + GemmVariantName(variant);
+    }
+  }
+  if (!missing.empty()) {
+    GTEST_SKIP() << "GEMM variants not supported on this host:" << missing;
+  }
+}
+
+// An empty inner dimension contributes nothing, whatever the variant.
+TEST(MatMulAccTest, EmptyInnerDimensionLeavesAccUnchanged) {
+  const DenseMatrix start = RandomDense(5, 40, 81, -1.0, 1.0);
+  for (GemmVariant variant : SupportedGemmVariants()) {
+    DenseMatrix acc = start;
+    DenseGemmAcc(variant, &acc, DenseMatrix(5, 0), DenseMatrix(0, 40));
+    EXPECT_TRUE(SameBits(acc, start)) << GemmVariantName(variant);
+  }
 }
 
 class TransposeAllReprs : public ::testing::TestWithParam<Repr> {};

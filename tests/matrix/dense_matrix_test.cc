@@ -1,5 +1,7 @@
 #include "matrix/dense_matrix.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "matrix/generators.h"
@@ -61,6 +63,33 @@ TEST(DenseMatrixTest, MaxAbsDiff) {
   DenseMatrix b(2, 2, {1, 2.5, 3, 3});
   EXPECT_DOUBLE_EQ(DenseMatrix::MaxAbsDiff(a, b), 1.0);
   EXPECT_DOUBLE_EQ(DenseMatrix::MaxAbsDiff(a, a), 0.0);
+}
+
+// A NaN on one side must never read as "no difference": every
+// `MaxAbsDiff(...) == 0` check in the suite relies on this.
+TEST(DenseMatrixTest, MaxAbsDiffSeesNaN) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  DenseMatrix zeros(2, 2);
+  DenseMatrix one_nan(2, 2, {0, 0, nan, 0});
+  EXPECT_EQ(DenseMatrix::MaxAbsDiff(one_nan, zeros), inf);
+  EXPECT_EQ(DenseMatrix::MaxAbsDiff(zeros, one_nan), inf);
+  // NaN at a later position than a finite difference still wins.
+  DenseMatrix late_nan(2, 2, {1, 0, 0, nan});
+  EXPECT_EQ(DenseMatrix::MaxAbsDiff(late_nan, zeros), inf);
+
+  // NaN in both at the same position is equal there; other cells count.
+  DenseMatrix both(2, 2, {0.5, 0, nan, 0});
+  EXPECT_EQ(DenseMatrix::MaxAbsDiff(both, one_nan), 0.5);
+  EXPECT_EQ(DenseMatrix::MaxAbsDiff(one_nan, one_nan), 0.0);
+
+  // Equal infinities do not differ; opposite ones, or one finite, do.
+  DenseMatrix pos_inf(1, 2, {inf, 1});
+  DenseMatrix neg_inf(1, 2, {-inf, 1});
+  DenseMatrix finite(1, 2, {3, 1});
+  EXPECT_EQ(DenseMatrix::MaxAbsDiff(pos_inf, pos_inf), 0.0);
+  EXPECT_EQ(DenseMatrix::MaxAbsDiff(pos_inf, neg_inf), inf);
+  EXPECT_EQ(DenseMatrix::MaxAbsDiff(pos_inf, finite), inf);
 }
 
 TEST(DenseMatrixTest, EqualityIsDeep) {
