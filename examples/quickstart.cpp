@@ -2,31 +2,20 @@
 // the execution report.
 //
 //   $ ./build/examples/quickstart
-//   $ ./build/examples/quickstart --faults   # same run under fault injection
 //
 // The query is the paper's running example, O = X * log(U × Vᵀ + eps),
-// with a sparse X — the pattern where cuboid-based fusion shines.  With
-// --faults, a seeded schedule kills work items and stages OOM; the engine
-// retries and degrades, and the result must stay bitwise identical to the
-// clean run's.
+// with a sparse X — the pattern where cuboid-based fusion shines.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "fuseme.h"
 
 using namespace fuseme;  // NOLINT — example brevity
 
 int main(int argc, char** argv) {
-  bool with_faults = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--faults") == 0) {
-      with_faults = true;
-    } else {
-      std::printf("usage: %s [--faults]\n", argv[0]);
-      return 1;
-    }
+  if (argc > 1) {
+    std::printf("usage: %s\n", argv[0]);
+    return 1;
   }
 
   // --- 1. Describe the query as an expression DAG. -----------------------
@@ -55,15 +44,6 @@ int main(int argc, char** argv) {
   options.cluster.num_nodes = 4;
   options.cluster.tasks_per_node = 4;
   options.cluster.block_size = block;
-  if (with_faults) {
-    // A fixed seed makes the schedule reproducible: every run kills the
-    // same attempts, so the retry counters below are exact, not flaky.
-    options.faults.seed = 42;
-    options.faults.task_failure_probability = 0.2;
-    options.faults.straggler_probability = 0.1;
-    options.recovery.retry.max_attempts = 4;
-    options.recovery.degrade_on_oom = true;
-  }
   // Create validates the options: a bad configuration is a Status here,
   // never an abort.
   Result<Engine> engine = Engine::Create(options);
@@ -99,28 +79,6 @@ int main(int argc, char** argv) {
                 stage.label.c_str(), stage.num_tasks,
                 HumanBytes(static_cast<double>(stage.total_bytes())).c_str(),
                 static_cast<long long>(stage.flops));
-  }
-
-  if (with_faults) {
-    std::printf(
-        "\nRecovery: %lld attempts, %lld retries, %lld speculative "
-        "copies, %zu degradations\n",
-        static_cast<long long>(run.report.attempts),
-        static_cast<long long>(run.report.total_retries()),
-        static_cast<long long>(run.report.speculative_tasks),
-        run.report.degradations.size());
-    // The smoke contract scripts/check.sh relies on: injected failures
-    // were absorbed (retries happened) and the numeric result survived
-    // them untouched.
-    if (run.report.total_retries() == 0) {
-      std::printf("expected injected failures to cause retries\n");
-      return 1;
-    }
-    if (diff > 1e-9) {
-      std::printf("fault recovery changed the numeric result\n");
-      return 1;
-    }
-    std::printf("fault-injection smoke: OK\n");
   }
   return 0;
 }

@@ -37,15 +37,6 @@ METRICS_REPORT="$PWD/build/examples/metrics_report"
 rm -rf "$SMOKE_DIR"
 echo "ok: metrics_report exports and journal file validated"
 
-echo "== fault-injection smoke (quickstart --faults, fixed seed) =="
-# The example runs a seeded failure schedule (seed 42, p=0.2) and exits
-# non-zero unless retries were absorbed with a bitwise-clean result.
-build/examples/quickstart --faults > /dev/null || {
-  echo "FAIL: fault-injection smoke" >&2
-  exit 1
-}
-echo "ok: injected failures recovered deterministically"
-
 if [[ "${FUSEME_CHECK_BENCH:-0}" == "1" ]]; then
   echo "== bench smoke (BENCH_*.json + metrics snapshot) =="
   scripts/run_bench_smoke.sh

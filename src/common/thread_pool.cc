@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <exception>
 #include <limits>
 #include <memory>
 #include <string>
@@ -43,12 +44,6 @@ std::size_t ThreadPool::ApproxQueueDepth() const {
 }
 
 void ThreadPool::Enqueue(std::function<void()> task) {
-  if (workers_.empty()) {
-    // No workers: run inline.  packaged_task catches exceptions into the
-    // future, so this cannot throw through Enqueue.
-    task();
-    return;
-  }
   {
     MutexLock lock(mu_);
     queue_.push_back(std::move(task));

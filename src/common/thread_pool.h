@@ -1,14 +1,9 @@
 // Fixed-size thread pool powering the parallel execution runtime.
 //
-// Two entry points matter:
-//
-//  * Submit(fn)      — schedules a task, returns a std::future carrying the
-//                      result (or the exception fn threw).
-//  * ParallelFor     — runs fn(i) over an index range with dynamic
-//                      scheduling; the calling thread participates, so the
-//                      loop completes even when every worker is busy.  The
-//                      caller waits only for helpers that actually started
-//                      on the loop, never for one still queued.
+// The one entry point is ParallelFor: it runs fn(i) over an index range
+// with dynamic scheduling; the calling thread participates, so the loop
+// completes even when every worker is busy.  The caller waits only for
+// helpers that actually started on the loop, never for one still queued.
 //
 // A process-wide pool (GlobalThreadPool) serves every level of
 // parallelism: operator work items, the k-slice groups of a cuboid
@@ -29,9 +24,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "common/synchronization.h"
@@ -41,9 +34,9 @@ namespace fuseme {
 class ThreadPool {
  public:
   /// Spawns `num_threads` worker threads (clamped to >= 0).  With zero
-  /// workers every Submit/ParallelFor executes inline on the caller.
+  /// workers every ParallelFor executes inline on the caller.
   explicit ThreadPool(int num_threads);
-  /// Drains the queue (pending tasks run, they are not dropped), then
+  /// Drains the queue (queued helpers run, they are not dropped), then
   /// joins the workers.
   ~ThreadPool();
 
@@ -59,19 +52,6 @@ class ThreadPool {
   /// nature — the queue moves while the caller looks — used by telemetry
   /// to sample pool backlog, never for control flow.
   std::size_t ApproxQueueDepth() const;
-
-  /// Schedules `fn` for execution and returns a future for its result;
-  /// an exception thrown by `fn` surfaces on future.get().  With zero
-  /// workers the task runs inline before Submit returns.
-  template <typename F>
-  auto Submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> future = task->get_future();
-    Enqueue([task]() { (*task)(); });
-    return future;
-  }
 
   /// Runs fn(i) for every i in [begin, end), blocking until all calls have
   /// completed.  Indices are claimed dynamically; the caller participates.
@@ -89,6 +69,8 @@ class ThreadPool {
                    int max_parallelism = 0);
 
  private:
+  /// Queues a loop helper.  ParallelFor enqueues at most num_threads()
+  /// helpers, so a pool without workers never gets here.
   void Enqueue(std::function<void()> task);
   void WorkerLoop();
 

@@ -22,11 +22,6 @@ namespace fuseme {
 
 namespace {
 
-/// Straggler enumeration bound per stage: analytic paper-scale stages can
-/// model millions of tasks, and scanning the whole schedule would swamp
-/// the run for no modeling benefit.  The scan is deterministic either way.
-constexpr std::int64_t kStragglerScanCap = 65536;
-
 const char* RunStatusLabel(const Status& status) {
   if (status.ok()) return "ok";
   if (status.IsOutOfMemory()) return "out_of_memory";
@@ -105,11 +100,6 @@ std::string ExecutionReport::Summary() const {
   std::string out = HumanSeconds(elapsed_seconds) + ", " +
                     HumanBytes(static_cast<double>(total_bytes())) +
                     " shuffled, " + std::to_string(stages.size()) + " stages";
-  const std::int64_t retries = total_retries();
-  if (retries > 0) {
-    out += ", " + std::to_string(retries) + " retr" +
-           (retries == 1 ? "y" : "ies");
-  }
   if (!degradations.empty()) {
     out += ", " + std::to_string(degradations.size()) + " degradation" +
            (degradations.size() == 1 ? "" : "s");
@@ -119,7 +109,6 @@ std::string ExecutionReport::Summary() const {
 
 Engine::Engine(EngineOptions options)
     : options_(std::move(options)), model_(options_.cluster) {
-  if (options_.faults.enabled()) injector_.emplace(options_.faults);
   const ObservabilityOptions& obs = options_.observability;
   if (obs.journal_capacity > 0) {
     // One steady-clock epoch for every sink: the tracer's when tracing is
@@ -493,8 +482,6 @@ Engine::RunResult Engine::ExecuteCompiled(
   }
 
   Status status;
-  const FaultInjector* injector =
-      injector_.has_value() ? &*injector_ : nullptr;
   int stage_ordinal = -1;
   for (const PartialPlan& plan : plans.plans) {
     ++stage_ordinal;
@@ -540,11 +527,8 @@ Engine::RunResult Engine::ExecuteCompiled(
     const auto host_begin = std::chrono::steady_clock::now();
 
     // Degradation ladder (DESIGN.md section 13): a stage that fails with
-    // OutOfMemory — genuine or injected — retries under a degraded
-    // configuration when recovery allows, instead of failing the run.
-    StageRecovery recovery;
-    bool oom_pending =
-        injector != nullptr && injector->InjectOom(stage_ordinal);
+    // OutOfMemory re-runs under a degraded configuration when recovery
+    // allows, instead of failing the run.
     double budget_factor = 1.0;
     int rungs = 0;
     Result<DistributedMatrix> result = Status::Internal("unset");
@@ -598,77 +582,34 @@ Engine::RunResult Engine::ExecuteCompiled(
       stats = StageStats{};
       stats.label = label;
       if (predr.ok() && cuboid_ok) {
-        if (oom_pending) {
-          // Synthetic memory pressure: the schedule kills this stage's
-          // first execution attempt before it runs.
-          oom_pending = false;
-          ++recovery.injected_oom;
-          if (options_.metrics != nullptr) {
-            options_.metrics
-                ->GetCounter(metric_names::kFaultInjected, {{"kind", "oom"}})
-                ->Increment();
-          }
-          result = Status::OutOfMemory(
-              "injected OutOfMemory on stage " +
-              std::to_string(stage_ordinal) + " (" + label + ")");
-          if (journal_ != nullptr) {
-            journal_->Emit(LogLevel::kWarning,
-                           event_names::kFaultInjectedOom,
-                           {{"stage", label},
-                            {"ordinal", std::to_string(stage_ordinal)}});
-          }
+        if (options_.metrics != nullptr) {
+          options_.metrics
+              ->GetCounter(metric_names::kSolverExecutions,
+                           {{"solver", std::string(solver->id())}})
+              ->Increment();
+        }
+        if (options_.analytic) {
+          result = RunPlanAnalytic(plan, kind, *predr, &stats);
+          telemetry.threads = 1;
         } else {
-          if (options_.metrics != nullptr) {
-            options_.metrics
-                ->GetCounter(metric_names::kSolverExecutions,
-                             {{"solver", std::string(solver->id())}})
-                ->Increment();
-          }
-          if (options_.analytic) {
-            result = RunPlanAnalytic(plan, kind, *predr, &stats);
-            telemetry.threads = 1;
-          } else {
-            StageContext ctx(label, options_.cluster);
-            ctx.set_tracer(options_.tracer);
-            ctx.set_metrics(options_.metrics);
-            if (injector != nullptr) {
-              ctx.ConfigureRecovery(injector, stage_ordinal,
-                                    options_.recovery.retry);
-            }
-            result = solver->RunStage(solver_env, plan, *predr, fin, &ctx);
-            stats = ctx.Finalize();
-            stats.label = label;
-            telemetry.threads = ctx.Parallelism();
-            const StageRecovery items = ctx.recovery();
-            recovery.attempts += items.attempts;
-            recovery.retries += items.retries;
-            recovery.injected_failures += items.injected_failures;
-            recovery.exhausted_items += items.exhausted_items;
-            recovery.backoff_seconds += items.backoff_seconds;
-            if (journal_ != nullptr && items.retries > 0) {
-              // One stage-level event after the attempt completes — never
-              // per item, keeping emission off the work-item hot path.
-              journal_->Emit(
-                  LogLevel::kWarning, event_names::kTaskRetry,
-                  {{"stage", label},
-                   {"attempts", std::to_string(items.attempts)},
-                   {"injected_failures",
-                    std::to_string(items.injected_failures)},
-                   {"exhausted", std::to_string(items.exhausted_items)}});
-            }
-          }
+          StageContext ctx(label, options_.cluster);
+          ctx.set_tracer(options_.tracer);
+          ctx.set_metrics(options_.metrics);
+          result = solver->RunStage(solver_env, plan, *predr, fin, &ctx);
+          stats = ctx.Finalize();
+          stats.label = label;
+          telemetry.threads = ctx.Parallelism();
         }
       }
       if (result.ok() || !result.status().IsOutOfMemory() ||
           !options_.recovery.degrade_on_oom ||
-          rungs >= options_.recovery.max_degradations_per_stage) {
+          rungs >= kMaxDegradationsPerStage) {
         break;
       }
       Result<DegradationStep> next = NextDegradation(
           plan, kind, telemetry.predicted, &fin, budget_factor);
       if (!next.ok()) break;  // ladder exhausted: surface the original OOM
       ++rungs;
-      ++recovery.degradations;
       DegradationEvent event;
       event.stage_label = label;
       event.from = std::string(OperatorKindName(kind)) +
@@ -703,52 +644,10 @@ Engine::RunResult Engine::ExecuteCompiled(
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       host_begin)
             .count();
+    telemetry.degradations = rungs;
 
     if (result.ok()) {
-      if (injector != nullptr &&
-          injector->spec().straggler_probability > 0.0) {
-        // Enumerate the schedule's stragglers among this stage's tasks
-        // (capped so paper-scale analytic task counts stay cheap; the
-        // scan is deterministic either way).
-        const std::int64_t scan =
-            std::min<std::int64_t>(stats.num_tasks, kStragglerScanCap);
-        for (std::int64_t t = 0; t < scan; ++t) {
-          const double factor = injector->StragglerFactor(stage_ordinal, t);
-          if (factor > 1.0) {
-            ++recovery.stragglers;
-            recovery.max_straggler_factor =
-                std::max(recovery.max_straggler_factor, factor);
-          }
-        }
-        if (options_.metrics != nullptr && recovery.stragglers > 0) {
-          options_.metrics
-              ->GetCounter(metric_names::kFaultInjected,
-                           {{"kind", "straggler"}})
-              ->Add(recovery.stragglers);
-        }
-      }
-      StageFaultEffects effects;
-      effects.retries = recovery.retries;
-      effects.backoff_seconds = recovery.backoff_seconds;
-      effects.stage_relaunches = recovery.degradations;
-      effects.stragglers = recovery.stragglers;
-      effects.straggler_factor = recovery.max_straggler_factor;
-      effects.speculation = options_.recovery.speculative_execution;
-      effects.speculation_launch_factor =
-          options_.recovery.speculation_launch_factor;
-      std::int64_t speculative = 0;
-      status = sim.CompleteStage(stats, recovery.any() ? &effects : nullptr,
-                                 &speculative);
-      recovery.speculative_tasks = speculative;
-      if (options_.metrics != nullptr && speculative > 0) {
-        options_.metrics->GetCounter(metric_names::kSpeculativeTasks)
-            ->Add(speculative);
-      }
-      if (journal_ != nullptr && speculative > 0) {
-        journal_->Emit(LogLevel::kInfo, event_names::kSpeculation,
-                       {{"stage", label},
-                        {"copies", std::to_string(speculative)}});
-      }
+      status = sim.CompleteStage(stats, rungs);
       if (status.ok() && !sim.stages().empty()) {
         stats.elapsed_seconds = sim.stages().back().elapsed_seconds;
         if (journal_ != nullptr) {
@@ -767,12 +666,6 @@ Engine::RunResult Engine::ExecuteCompiled(
       status = result.status();
     }
     telemetry.actual = stats;
-    telemetry.recovery = recovery;
-    out.report.attempts += recovery.attempts;
-    if (recovery.retries > 0) {
-      out.report.retries_by_cause["injected_failure"] += recovery.retries;
-    }
-    out.report.speculative_tasks += recovery.speculative_tasks;
     RecordStageMetrics(options_.metrics, stats, telemetry.wall_seconds,
                        telemetry.predicted);
 
@@ -806,16 +699,8 @@ Engine::RunResult Engine::ExecuteCompiled(
                              std::to_string(stats.aggregation_bytes));
       span.args.emplace_back("actual_flops", std::to_string(stats.flops));
       span.args.emplace_back("num_tasks", std::to_string(stats.num_tasks));
-      if (recovery.any()) {
-        span.args.emplace_back("retries", std::to_string(recovery.retries));
-        span.args.emplace_back("degradations",
-                               std::to_string(recovery.degradations));
-        span.args.emplace_back("injected_oom",
-                               std::to_string(recovery.injected_oom));
-        span.args.emplace_back("stragglers",
-                               std::to_string(recovery.stragglers));
-        span.args.emplace_back("speculative_tasks",
-                               std::to_string(recovery.speculative_tasks));
+      if (rungs > 0) {
+        span.args.emplace_back("degradations", std::to_string(rungs));
       }
       options_.tracer->Record(std::move(span));
     }

@@ -32,14 +32,11 @@
 #include <string>
 #include <vector>
 
-#include <optional>
-
 #include "common/result.h"
 #include "cost/optimizer.h"
 #include "fusion/planners.h"
 #include "ops/fused_operator.h"
 #include "runtime/distributed_matrix.h"
-#include "runtime/fault_injector.h"
 #include "runtime/simulator.h"
 #include "telemetry/event_journal.h"
 #include "telemetry/prediction.h"
@@ -74,31 +71,23 @@ enum class OperatorKind { kAuto, kCfo, kBfo, kRfo, kCpmm };
 /// JSON schema.
 std::string_view OperatorKindName(OperatorKind kind);
 
-/// How the engine recovers from failures (DESIGN.md section 13).  The
-/// defaults preserve the paper's semantics: a stage that runs out of
-/// memory reports O.O.M. exactly like the experiment tables, and nothing
-/// retries unless a fault schedule is active.
+/// How the engine recovers from OutOfMemory (DESIGN.md section 13).  The
+/// default preserves the paper's semantics: a stage that runs out of
+/// memory reports O.O.M. exactly like the experiment tables.
 struct RecoveryOptions {
-  /// Per-work-item attempt budget for injected task failures.  Only
-  /// consulted when EngineOptions::faults schedules failures — genuine
-  /// statuses are deterministic and never retried at item level.
-  RetryPolicy retry;
   /// Climb the OOM degradation ladder instead of failing the run: first
-  /// re-optimize the cuboid under a shrinking modeled budget (finer
-  /// partitions, less memory per task), then fall back to the (1,1,R)
-  /// cpmm shuffle operator.  Off by default so O.O.M. cells reproduce.
+  /// degrade BFO/RFO to the optimizer-chosen CFO, then re-optimize the
+  /// cuboid under a shrinking modeled budget (finer partitions, less
+  /// memory per task), then fall back to the (1,1,R) cpmm shuffle
+  /// operator.  At most kMaxDegradationsPerStage rungs per stage; past
+  /// that, or when no rung is left, the last attempt's OutOfMemory
+  /// surfaces unchanged.  Off by default so O.O.M. cells reproduce.
   bool degrade_on_oom = false;
-  /// Ladder length: rungs tried per stage before the original OutOfMemory
-  /// is surfaced unchanged.
-  int max_degradations_per_stage = 6;
-  /// Launch speculative copies of scheduled stragglers in the simulator's
-  /// cluster-time model (Spark's spark.speculation); the first finisher
-  /// wins, cutting the straggler tail.
-  bool speculative_execution = true;
-  /// A copy launches once a straggler runs this factor past the modeled
-  /// wave duration.
-  double speculation_launch_factor = 1.5;
 };
+
+/// Ladder length: rungs tried per stage before the last attempt's
+/// OutOfMemory is surfaced unchanged.
+inline constexpr int kMaxDegradationsPerStage = 6;
 
 /// Engine-owned flight recorder (DESIGN.md section 17).  Both default to
 /// off, so a default engine builds no journal.
@@ -141,18 +130,13 @@ struct EngineOptions {
   /// before the stage runs.  Diagnostics fail the run with
   /// StatusCode::kInternal and land in ExecutionReport.
   VerifyLevel verify = VerifyLevel::kPlanner;
-  /// Deterministic fault schedule (off by default).  When enabled, work
-  /// items are killed / stages OOM / tasks straggle exactly as the seeded
-  /// schedule dictates, and `recovery` governs how the engine survives.
-  FaultSpec faults;
-  /// Recovery policy applied when `faults` is active or a stage genuinely
-  /// runs out of memory (see RecoveryOptions).
+  /// How a stage that runs out of memory recovers (see RecoveryOptions).
   RecoveryOptions recovery;
 
   /// Checks the options for structural validity: cluster shape, budgets,
-  /// bandwidths, probabilities, retry/degradation knobs, and contradictory
-  /// flags (balance_sparsity in analytic mode).  Engine::Create rejects
-  /// invalid options with this status.
+  /// bandwidths, time and overlap factors (NaN rejected), and
+  /// contradictory flags (balance_sparsity in analytic mode).
+  /// Engine::Create rejects invalid options with this status.
   Status Validate() const;
 };
 
@@ -164,6 +148,8 @@ struct DegradationEvent {
   std::string from;  // e.g. "CFO (4,3,1)"
   std::string to;    // e.g. "CFO (8,6,1)" or "cpmm (1,1,5)"
   std::string cause;
+
+  bool operator==(const DegradationEvent&) const = default;
 };
 
 struct ExecutionReport {
@@ -184,30 +170,17 @@ struct ExecutionReport {
   std::vector<VerifierDiagnostic> verifier_diagnostics;
   std::string plan_description;
 
-  // --- Recovery accounting (DESIGN.md section 13; all zero/empty on
-  // clean runs, so paper-mode reports are unchanged). ---
-  /// Work-item attempts across all stages, first tries included.
-  std::int64_t attempts = 0;
-  /// Re-launches beyond each item's first attempt, keyed by cause
-  /// ("injected_failure", ...).
-  std::map<std::string, std::int64_t> retries_by_cause;
-  /// OOM degradation rungs taken, in the order they fired.
+  /// OOM degradation rungs taken, in the order they fired (DESIGN.md
+  /// section 13); empty on clean runs.
   std::vector<DegradationEvent> degradations;
-  /// Speculative task copies the simulator launched against stragglers.
-  std::int64_t speculative_tasks = 0;
-
-  std::int64_t total_retries() const {
-    std::int64_t total = 0;
-    for (const auto& [cause, n] : retries_by_cause) total += n;
-    return total;
-  }
 
   std::int64_t total_bytes() const {
     return consolidation_bytes + aggregation_bytes;
   }
   bool ok() const { return status.ok(); }
-  /// One-line outcome: "3.2 min, 17.3 GB shuffled, 12 stages" or the
-  /// failure code ("O.O.M." / "T.O.").
+  /// One-line outcome: "3.2 min, 17.3 GB shuffled, 12 stages" (plus
+  /// ", N degradations" when the ladder fired) or the failure code
+  /// ("O.O.M." / "T.O.").
   std::string Summary() const;
 };
 
@@ -298,7 +271,7 @@ class Engine {
                                        double budget_factor = 1.0) const;
 
  private:
-  /// Builds the injector and journal the (validated) options ask for.
+  /// Builds the journal the (validated) options ask for.
   explicit Engine(EngineOptions options);
 
   /// Solver-facing view of this engine's configuration.  `silent` drops
@@ -352,9 +325,6 @@ class Engine {
 
   EngineOptions options_;
   CostModel model_;
-  /// Present iff options_.faults.enabled(); stages consult it for task
-  /// kills, synthetic OOMs, and straggler factors.
-  std::optional<FaultInjector> injector_;
   /// Engine-owned flight recorder, shared so Engine stays copyable; its
   /// deleter detaches the crash dump.  Null when disabled.
   std::shared_ptr<EventJournal> journal_;

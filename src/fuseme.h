@@ -11,8 +11,8 @@
 //
 // Everything re-exported here is the supported user-facing API: query
 // parsing and DAG construction (ir/), matrix generation and I/O
-// (matrix/), the engine with its planners, cost model, fault injection
-// and recovery knobs (engine/, cost/, fusion/, runtime/), observability
+// (matrix/), the engine with its planners, cost model and OOM
+// degradation ladder (engine/, cost/, fusion/, runtime/), observability
 // (telemetry/), and the paper's workloads (workloads/).  Internal layers
 // — kernels, physical operators, the verifier's rule internals — stay
 // behind their own headers on purpose; depend on them only from tests.
@@ -66,9 +66,8 @@
 #include "matrix/generators.h"
 #include "matrix/matrix_io.h"
 
-// Runtime vocabulary: cluster shape, fault schedules, the simulator.
+// Runtime vocabulary: cluster shape and the simulator.
 #include "runtime/cluster_config.h"
-#include "runtime/fault_injector.h"
 #include "runtime/simulator.h"
 
 // Observability: metrics, tracing, predicted-vs-actual telemetry, and

@@ -424,28 +424,17 @@ class KGroupMerger {
   Status status_ GUARDED_BY(mu_);
 };
 
-/// The work of one item, charged against a per-attempt local accounting.
-/// Must be idempotent: the retry loop re-invokes it with a fresh
-/// accounting after an injected failure, and the item's buffered outputs
-/// are cleared between attempts.
+/// The work of one item, charged against the item's local accounting.
 using ItemBody = std::function<Status(std::int64_t, LocalStageAccounting*)>;
 
 /// Executes `items->size()` work items: on the global pool when `threads`
 /// > 1, inline and in index order otherwise (threads=1 and meta-block
 /// simulation).  Items are independent, and every observable side effect
 /// is replayed by a sequential commit pass afterwards, so results are
-/// identical for every thread count.
-///
-/// Fault tolerance (DESIGN.md section 13): when the stage carries a
-/// FaultInjector, each attempt of each item consults the deterministic
-/// schedule.  A killed attempt discards its buffered outputs and its
-/// *unflushed* local accounting — nothing reached the shared context —
-/// then relaunches after modeled exponential backoff, up to the retry
-/// policy's attempt budget.  Because the schedule is a pure function of
-/// (stage, item, attempt) and a successful attempt recomputes identical
-/// blocks, results and StageStats are bitwise-identical to a failure-free
-/// run under any schedule and thread count.  Genuine statuses (OutOfMemory,
-/// Internal, ...) are deterministic and never retried here.
+/// identical for every thread count.  Each item runs its body once against
+/// one LocalStageAccounting, flushed into the stage on success; a failing
+/// status (OutOfMemory, Internal, ...) is deterministic and lands in the
+/// item for the commit pass to surface.
 void RunItems(StageContext* ctx, int threads, std::vector<WorkItem>* items,
               const StageInstruments& ins, const ItemBody& body) {
   const auto count = static_cast<std::int64_t>(items->size());
@@ -455,10 +444,6 @@ void RunItems(StageContext* ctx, int threads, std::vector<WorkItem>* items,
     ins.pool_threads->Set(static_cast<double>(std::max(threads, 1)));
   }
   const auto enqueue = std::chrono::steady_clock::now();
-  const FaultInjector* injector = ctx->fault_injector();
-  const RetryPolicy& policy = ctx->retry_policy();
-  const int max_attempts =
-      injector != nullptr ? std::max(policy.max_attempts, 1) : 1;
   auto run_one = [&](std::int64_t i) {
     const auto start = std::chrono::steady_clock::now();
     NameTraceThread(tracer);
@@ -469,76 +454,9 @@ void RunItems(StageContext* ctx, int threads, std::vector<WorkItem>* items,
           static_cast<double>(GlobalThreadPool()->ApproxQueueDepth()));
     }
     WorkItem& item = (*items)[static_cast<std::size_t>(i)];
-    int attempts = 0;
-    int injected = 0;
-    double backoff_seconds = 0.0;
-    bool exhausted = false;
-    for (int attempt = 0; attempt < max_attempts; ++attempt) {
-      ++attempts;
-      item.outputs.clear();
-      item.status = Status::OK();
-      const InjectedFault fault =
-          injector != nullptr
-              ? injector->TaskFault(ctx->stage_ordinal(), i, attempt)
-              : InjectedFault::kNone;
-      LocalStageAccounting local(ctx);
-      Status run = Status::OK();
-      if (fault != InjectedFault::kLostAtLaunch) run = body(i, &local);
-      if (run.ok() && fault != InjectedFault::kNone) {
-        // The task died before committing: its buffered outputs and the
-        // unflushed local accounting are discarded here, so the shared
-        // context never sees the failed attempt.
-        ++injected;
-        if (ctx->metrics() != nullptr) {
-          ctx->metrics()
-              ->GetCounter(metric_names::kFaultInjected,
-                           {{"kind", fault == InjectedFault::kLostAtLaunch
-                                         ? "lost_at_launch"
-                                         : "lost_before_commit"}})
-              ->Increment();
-        }
-        if (tracer != nullptr) {
-          TraceSpan span;
-          span.name = "injected task failure";
-          span.category = "fault";
-          span.begin_us = span.end_us = tracer->NowMicros();
-          span.tid = tracer->CurrentThreadId();
-          span.args.emplace_back("stage", ctx->label());
-          span.args.emplace_back("item", std::to_string(i));
-          span.args.emplace_back("attempt", std::to_string(attempt));
-          span.args.emplace_back("point",
-                                 fault == InjectedFault::kLostAtLaunch
-                                     ? "launch"
-                                     : "pre-commit");
-          tracer->Record(std::move(span));
-        }
-        if (attempt + 1 < max_attempts) {
-          backoff_seconds += policy.BackoffSeconds(attempt);
-          continue;
-        }
-        exhausted = true;
-        item.outputs.clear();
-        item.status = Status::Internal(
-            "injected task failure on work item " + std::to_string(i) +
-            " of " + ctx->label() + ": attempt budget (" +
-            std::to_string(max_attempts) + ") exhausted");
-        break;
-      }
-      item.status = run.ok() ? local.Flush() : std::move(run);
-      break;
-    }
-    ctx->RecordItemRecovery(attempts, injected, backoff_seconds, exhausted);
-    if (ctx->metrics() != nullptr) {
-      ctx->metrics()
-          ->GetCounter(metric_names::kWorkItemAttempts)
-          ->Add(attempts);
-      if (attempts > 1) {
-        ctx->metrics()
-            ->GetCounter(metric_names::kTaskRetries,
-                         {{"cause", "injected_failure"}})
-            ->Add(attempts - 1);
-      }
-    }
+    LocalStageAccounting local(ctx);
+    Status run = body(i, &local);
+    item.status = run.ok() ? local.Flush() : std::move(run);
     if (ins.item_seconds != nullptr) {
       ins.item_seconds->Observe(
           std::chrono::duration<double>(std::chrono::steady_clock::now() -

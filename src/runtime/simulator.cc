@@ -54,57 +54,13 @@ double Simulator::EstimateStageSeconds(const StageStats& stats) const {
   return busy + static_cast<double>(waves) * config_.task_launch_overhead;
 }
 
-double Simulator::RecoveryOverheadSeconds(
-    const StageStats& stats, const StageFaultEffects& effects,
-    std::int64_t* speculative_tasks) const {
-  if (speculative_tasks != nullptr) *speculative_tasks = 0;
-
-  // Retry backoff serializes on the stage's critical path, and every
-  // re-launch (work-item retry or stage-level degradation rung) costs one
-  // scheduling round trip.
-  double extra = effects.backoff_seconds;
-  extra += static_cast<double>(effects.retries + effects.stage_relaunches) *
-           config_.task_launch_overhead;
-
-  // Straggler tail: the slowest task stretches its wave beyond the
-  // modeled per-wave duration.  With speculation, a copy launches once
-  // the straggler runs `launch_factor` past the wave duration and takes
-  // one more wave duration to finish; the first finisher wins.
-  if (effects.stragglers > 0 && effects.straggler_factor > 1.0 &&
-      stats.num_tasks > 0) {
-    const int slots = config_.total_tasks();
-    const int waves = stats.num_tasks / slots +
-                      (stats.num_tasks % slots > 0 ? 1 : 0);
-    const double busy = EstimateStageSeconds(stats) -
-                        static_cast<double>(waves) *
-                            config_.task_launch_overhead;
-    const double per_wave = waves > 0 ? busy / static_cast<double>(waves)
-                                      : 0.0;
-    const double straggle_tail = per_wave * (effects.straggler_factor - 1.0);
-    const double speculate_tail =
-        per_wave * effects.speculation_launch_factor +
-        config_.task_launch_overhead;
-    if (effects.speculation && speculate_tail < straggle_tail) {
-      extra += speculate_tail;
-      if (speculative_tasks != nullptr) {
-        *speculative_tasks = effects.stragglers;
-      }
-    } else {
-      extra += straggle_tail;
-    }
-  }
-  return extra;
-}
-
-Status Simulator::CompleteStage(StageStats stats,
-                                const StageFaultEffects* effects,
-                                std::int64_t* speculative_tasks) {
+Status Simulator::CompleteStage(StageStats stats, std::int64_t relaunches) {
   stats.elapsed_seconds = EstimateStageSeconds(stats);
-  if (effects != nullptr) {
+  if (relaunches > 0) {
+    // Every degradation rung was a failed stage-level attempt: one more
+    // scheduling round trip on the stage's critical path.
     stats.elapsed_seconds +=
-        RecoveryOverheadSeconds(stats, *effects, speculative_tasks);
-  } else if (speculative_tasks != nullptr) {
-    *speculative_tasks = 0;
+        static_cast<double>(relaunches) * config_.task_launch_overhead;
   }
   elapsed_seconds_ += stats.elapsed_seconds;
   stages_.push_back(std::move(stats));

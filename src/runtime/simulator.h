@@ -20,6 +20,7 @@
 #ifndef FUSEME_RUNTIME_SIMULATOR_H_
 #define FUSEME_RUNTIME_SIMULATOR_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "common/status.h"
@@ -28,53 +29,22 @@
 
 namespace fuseme {
 
-/// Cluster-time side effects of a stage's recovery, handed to the
-/// Simulator so retries, backoff, stragglers, and degradation re-launches
-/// all advance the modeled clock (and can deterministically trip the run
-/// deadline, producing T.O. exactly like the paper's timed-out cells).
-struct StageFaultEffects {
-  /// Work-item re-launches (each costs one task_launch_overhead).
-  std::int64_t retries = 0;
-  /// Modeled exponential-backoff seconds accumulated before re-launches.
-  double backoff_seconds = 0.0;
-  /// Failed stage-level attempts (OOM degradation rungs), each costing a
-  /// scheduling round trip.
-  std::int64_t stage_relaunches = 0;
-  /// Straggling tasks and the worst slowdown factor among them.
-  std::int64_t stragglers = 0;
-  double straggler_factor = 1.0;
-  /// Speculative re-execution (Spark's spark.speculation): once a
-  /// straggler runs `speculation_launch_factor` beyond the wave's modeled
-  /// duration, a copy launches elsewhere and the first finisher wins.
-  bool speculation = true;
-  double speculation_launch_factor = 1.5;
-};
-
 class Simulator {
  public:
   explicit Simulator(const ClusterConfig& config) : config_(config) {}
 
   const ClusterConfig& config() const { return config_; }
 
-  /// Computes stats->elapsed_seconds (recovery overhead included when
-  /// `effects` is non-null), appends the stage to the history, and
-  /// advances the clock.  Returns TimedOut when the cumulative clock
-  /// passes the configured horizon.  `speculative_tasks` (optional)
-  /// receives the number of speculative copies launched.
-  Status CompleteStage(StageStats stats,
-                       const StageFaultEffects* effects = nullptr,
-                       std::int64_t* speculative_tasks = nullptr);
+  /// Computes stats->elapsed_seconds, appends the stage to the history,
+  /// and advances the clock.  `relaunches` counts the OOM degradation
+  /// rungs the stage climbed before it completed; each re-launch costs one
+  /// task_launch_overhead, so the ladder advances the modeled clock (and
+  /// can trip the run deadline like any other stage time).  Returns
+  /// TimedOut when the cumulative clock passes the configured horizon.
+  Status CompleteStage(StageStats stats, std::int64_t relaunches = 0);
 
   /// Modeled elapsed for a stage without committing it to the clock.
   double EstimateStageSeconds(const StageStats& stats) const;
-
-  /// Extra modeled seconds `effects` adds to `stats`: backoff, re-launch
-  /// overheads, and the straggler tail — cut short by a speculative copy
-  /// when that finishes first (`speculative_tasks` counts the copies).
-  double RecoveryOverheadSeconds(const StageStats& stats,
-                                 const StageFaultEffects& effects,
-                                 std::int64_t* speculative_tasks =
-                                     nullptr) const;
 
   double elapsed_seconds() const { return elapsed_seconds_; }
   const std::vector<StageStats>& stages() const { return stages_; }

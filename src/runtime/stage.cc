@@ -87,30 +87,6 @@ Status StageContext::MergeTask(int task, const TaskAccounting& local) {
                              &GrowTo(task));
 }
 
-void StageContext::ConfigureRecovery(const FaultInjector* injector,
-                                     int stage_ordinal,
-                                     const RetryPolicy& retry) {
-  injector_ = injector;
-  stage_ordinal_ = stage_ordinal;
-  retry_ = retry;
-}
-
-void StageContext::RecordItemRecovery(int attempts, int injected_failures,
-                                      double backoff_seconds,
-                                      bool exhausted) {
-  MutexLock lock(merge_mu_);
-  recovery_.attempts += attempts;
-  recovery_.retries += std::max(attempts - 1, 0);
-  recovery_.injected_failures += injected_failures;
-  recovery_.backoff_seconds += backoff_seconds;
-  if (exhausted) ++recovery_.exhausted_items;
-}
-
-StageRecovery StageContext::recovery() const {
-  MutexLock lock(merge_mu_);
-  return recovery_;
-}
-
 int StageContext::Parallelism() const {
   return config_.local_threads > 0 ? config_.local_threads
                                    : GlobalParallelism();

@@ -23,7 +23,6 @@
 #include "common/status.h"
 #include "common/synchronization.h"
 #include "runtime/cluster_config.h"
-#include "runtime/fault_injector.h"
 
 namespace fuseme {
 
@@ -48,12 +47,12 @@ struct StageStats {
   std::int64_t flops = 0;
   std::int64_t max_task_memory = 0;
   /// Modeled cluster seconds for this stage.  The Simulator computes it
-  /// (EstimateStageSeconds + recovery overhead) and the engine writes it
-  /// back on BOTH execution paths — analytic *and* real-mode runs carry a
-  /// nonzero value for every stage that launched tasks.  Always modeled
-  /// time from the deterministic accounting above, never host wall clock
-  /// (wall time lives in StageTelemetry), so it is bitwise-identical
-  /// across thread counts.
+  /// (EstimateStageSeconds + degradation re-launch overhead) and the
+  /// engine writes it back on BOTH execution paths — analytic *and*
+  /// real-mode runs carry a nonzero value for every stage that launched
+  /// tasks.  Always modeled time from the deterministic accounting above,
+  /// never host wall clock (wall time lives in StageTelemetry), so it is
+  /// bitwise-identical across thread counts.
   double elapsed_seconds = 0.0;
 
   std::int64_t total_bytes() const {
@@ -88,7 +87,7 @@ class StageAccounting {
 /// paper's failed BFO/RFO runs.
 ///
 /// Every accounting method takes the context mutex, so the context is
-/// thread-safe as a whole — the accumulators (tasks_, recovery_) are
+/// thread-safe as a whole — the per-task accumulators are
 /// GUARDED_BY(merge_mu_) and the Clang thread-safety
 /// analysis proves no path touches them unlocked.  Concurrent work items
 /// still charge a LocalStageAccounting and fold it in via MergeTask:
@@ -112,28 +111,6 @@ class StageContext : public StageAccounting {
   /// instrumentation (pointer test only).  Not owned.
   void set_metrics(MetricsRegistry* metrics) { metrics_ = metrics; }
   MetricsRegistry* metrics() const { return metrics_; }
-
-  /// Wires fault injection and the retry budget for this stage's work
-  /// items (DESIGN.md section 13).  `injector` may be null (no injection;
-  /// the retry loop then never fires) and is not owned; `stage_ordinal`
-  /// is the stage's 0-based position in the run's execution order — the
-  /// injector keys its schedule on it.
-  void ConfigureRecovery(const FaultInjector* injector, int stage_ordinal,
-                         const RetryPolicy& retry);
-  const FaultInjector* fault_injector() const { return injector_; }
-  int stage_ordinal() const { return stage_ordinal_; }
-  const RetryPolicy& retry_policy() const { return retry_; }
-
-  /// Folds one work item's recovery outcome into the stage record under
-  /// the context mutex (safe from concurrent work items): `attempts` runs
-  /// of the item, `injected_failures` of them killed by the schedule,
-  /// `backoff_seconds` of modeled backoff, and whether the item ran out
-  /// of attempts.
-  void RecordItemRecovery(int attempts, int injected_failures,
-                          double backoff_seconds, bool exhausted);
-
-  /// Snapshot of the stage's recovery accounting.
-  StageRecovery recovery() const;
 
   void ChargeConsolidation(int task, std::int64_t bytes) override;
   void ChargeAggregation(int task, std::int64_t bytes) override;
@@ -168,12 +145,8 @@ class StageContext : public StageAccounting {
   ClusterConfig config_;
   Tracer* tracer_ = nullptr;
   MetricsRegistry* metrics_ = nullptr;
-  const FaultInjector* injector_ = nullptr;
-  int stage_ordinal_ = 0;
-  RetryPolicy retry_{.max_attempts = 1};
   mutable Mutex merge_mu_;
   std::vector<TaskAccounting> tasks_ GUARDED_BY(merge_mu_);
-  StageRecovery recovery_ GUARDED_BY(merge_mu_);
 };
 
 /// Task-local accounting for one work item of a parallel operator, or for

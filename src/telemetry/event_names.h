@@ -44,19 +44,11 @@ inline constexpr char kVerifierDiagnostic[] = "fuseme.verifier.diagnostic";
 /// ordinal, operator, tasks, elapsed_seconds.
 inline constexpr char kStageCommit[] = "fuseme.stage.commit";
 
-// --- Fault path ---
-/// The fault schedule killed a stage attempt with a synthetic OOM;
-/// payload: stage, ordinal.
-inline constexpr char kFaultInjectedOom[] = "fuseme.fault.injected_oom";
-/// A work item was re-launched past its first attempt; payload: stage,
-/// attempts, injected_failures, exhausted.
-inline constexpr char kTaskRetry[] = "fuseme.fault.task_retry";
+// --- OOM degradation ladder ---
 /// A stage took one rung down the OOM degradation ladder; payload:
-/// stage, from, to, cause.
+/// stage, from, to, cause.  The id keeps its historical `fault`
+/// subsystem segment so journal readers need no migration.
 inline constexpr char kStageDegraded[] = "fuseme.fault.degradation";
-/// The simulator launched speculative copies against stragglers;
-/// payload: stage, copies.
-inline constexpr char kSpeculation[] = "fuseme.fault.speculation";
 
 }  // namespace fuseme::event_names
 

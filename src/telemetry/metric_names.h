@@ -128,21 +128,10 @@ inline constexpr char kKernelOutputNnz[] = "fuseme_kernel_output_nnz_total";
 inline constexpr char kKernelOutputCells[] =
     "fuseme_kernel_output_cells_total";
 
-// --- Fault tolerance (DESIGN.md section 13) ---
-/// Injected faults absorbed, labeled
-/// {kind="lost_at_launch|lost_before_commit|oom|straggler"}.
-inline constexpr char kFaultInjected[] = "fuseme_fault_injected_total";
-/// Work-item re-launches, labeled {cause="injected_failure"}.
-inline constexpr char kTaskRetries[] = "fuseme_task_retries_total";
-/// Work-item attempts, first tries included.
-inline constexpr char kWorkItemAttempts[] =
-    "fuseme_work_item_attempts_total";
+// --- OOM degradation ladder (DESIGN.md section 13) ---
 /// OOM degradation rungs taken, labeled {action="shrink_cuboid|cpmm"}.
 inline constexpr char kStageDegradations[] =
     "fuseme_stage_degradations_total";
-/// Speculative task copies the simulator launched against stragglers.
-inline constexpr char kSpeculativeTasks[] =
-    "fuseme_speculative_tasks_total";
 
 // --- Verifier ---
 /// Artifacts checked, labeled {artifact="dag|plan|plan_set|stage_graph|cuboid"}.

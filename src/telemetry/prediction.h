@@ -10,6 +10,7 @@
 #ifndef FUSEME_TELEMETRY_PREDICTION_H_
 #define FUSEME_TELEMETRY_PREDICTION_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -43,10 +44,9 @@ struct StageTelemetry {
   StageStats actual;
   double wall_seconds = 0;  // host wall clock for the stage
   int threads = 1;          // work-item parallelism used
-  /// What recovery did while the stage ran: attempts, retries, injected
-  /// faults, degradation rungs, stragglers (runtime/fault_injector.h).
-  /// All-zero on clean runs.
-  StageRecovery recovery;
+  /// OOM degradation rungs the stage climbed before it completed (or
+  /// before the ladder gave up); 0 on clean runs.
+  std::int64_t degradations = 0;
 };
 
 /// Per-dimension prediction error of one stage, as actual/predicted

@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -18,31 +20,56 @@
 namespace fuseme {
 namespace {
 
-TEST(ThreadPoolTest, SubmitReturnsResult) {
-  ThreadPool pool(3);
-  auto fut = pool.Submit([] { return 6 * 7; });
-  EXPECT_EQ(fut.get(), 42);
+/// Runs `fn` once on one of `pool`'s workers (the pool needs at least
+/// one, and the caller must not be one of them) and returns when it has
+/// finished.  A two-index loop: the worker's index runs `fn`; the caller's
+/// index, if it gets one, waits until a worker has taken `fn`, and the
+/// loop then waits for that worker to leave.
+void RunOnAWorker(ThreadPool& pool, const std::function<void()>& fn) {
+  std::atomic<bool> taken{false};
+  pool.ParallelFor(0, 2, [&](std::int64_t) {
+    if (pool.InWorker()) {
+      if (!taken.exchange(true)) fn();
+    } else {
+      while (!taken.load()) std::this_thread::yield();
+    }
+  }, /*max_parallelism=*/2);
 }
 
-TEST(ThreadPoolTest, SubmitPropagatesException) {
-  ThreadPool pool(2);
-  auto fut = pool.Submit([]() -> int {
-    throw std::runtime_error("boom");
+/// Parks `count` of `pool`'s workers (count <= num_threads()) on `gate`
+/// from a plain thread, returning once all of them are parked.  The plain
+/// thread's own index waits until the workers have arrived, so it never
+/// claims a worker's index; join the returned thread after opening the
+/// gate.
+std::thread ParkWorkers(ThreadPool& pool, int count,
+                        std::shared_future<void> gate) {
+  auto parked = std::make_shared<std::atomic<int>>(0);
+  std::thread parker([&pool, count, gate, parked] {
+    pool.ParallelFor(0, count + 1, [&](std::int64_t) {
+      if (pool.InWorker()) {
+        parked->fetch_add(1);
+        gate.wait();
+      } else {
+        while (parked->load() < count) std::this_thread::yield();
+      }
+    }, /*max_parallelism=*/count + 1);
   });
-  EXPECT_THROW(fut.get(), std::runtime_error);
+  while (parked->load() < count) std::this_thread::yield();
+  return parker;
 }
 
 TEST(ThreadPoolTest, ZeroWorkersRunsInline) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.num_threads(), 0);
-  std::thread::id caller = std::this_thread::get_id();
-  auto fut = pool.Submit([&] { return std::this_thread::get_id(); });
-  EXPECT_EQ(fut.get(), caller);
-  std::vector<int> order;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> order;  // unsynchronized on purpose: must be inline
+  std::vector<std::thread::id> ran_on;
   pool.ParallelFor(0, 5, [&](std::int64_t i) {
     order.push_back(static_cast<int>(i));
+    ran_on.push_back(std::this_thread::get_id());
   });
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(ran_on, std::vector<std::thread::id>(5, caller));
 }
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
@@ -122,26 +149,23 @@ TEST(ThreadPoolTest, NestedParallelForCompletesWithAllWorkersBusy) {
   // waiting for helpers that cannot start until the gate opens.
   std::promise<void> gate;
   std::shared_future<void> opened = gate.get_future().share();
-  std::atomic<int> parked{0};
-  std::vector<std::future<void>> blockers;
-  for (int b = 0; b < 2; ++b) {
-    blockers.push_back(pool.Submit([&parked, opened] {
-      parked.fetch_add(1);
-      opened.wait();
-    }));
-  }
-  while (parked.load() < 2) std::this_thread::yield();
-  auto nested = pool.Submit([&pool] {
-    std::atomic<int> inner{0};
-    pool.ParallelFor(0, 16, [&](std::int64_t) { inner.fetch_add(1); });
-    return inner.load();
+  std::thread parker = ParkWorkers(pool, 2, opened);
+  std::promise<int> inner_calls;
+  std::future<int> nested = inner_calls.get_future();
+  std::thread driver([&] {
+    RunOnAWorker(pool, [&] {
+      std::atomic<int> inner{0};
+      pool.ParallelFor(0, 16, [&](std::int64_t) { inner.fetch_add(1); });
+      inner_calls.set_value(inner.load());
+    });
   });
   const bool finished =
       nested.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
   gate.set_value();
+  driver.join();
+  parker.join();
   ASSERT_TRUE(finished) << "nested loop waited on parked workers";
   EXPECT_EQ(nested.get(), 16);
-  for (std::future<void>& b : blockers) b.get();
 }
 
 TEST(ThreadPoolTest, NestedLoopsCoverEveryIndex) {
@@ -166,7 +190,7 @@ TEST(ThreadPoolTest, NestedParallelForFromWorkerUsesIdleWorkers) {
   std::size_t widest = 0;
   for (int round = 0; round < 20 && widest < 2; ++round) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    auto nested = pool.Submit([&pool] {
+    RunOnAWorker(pool, [&] {
       Mutex mu;
       std::set<std::thread::id> threads;
       pool.ParallelFor(0, 16, [&](std::int64_t) {
@@ -175,11 +199,59 @@ TEST(ThreadPoolTest, NestedParallelForFromWorkerUsesIdleWorkers) {
         threads.insert(std::this_thread::get_id());
       });
       MutexLock lock(mu);
-      return threads.size();
+      widest = std::max(widest, threads.size());
     });
-    widest = std::max(widest, nested.get());
   }
   EXPECT_GE(widest, 2u);
+}
+
+TEST(ThreadPoolTest, NestedParallelForBorrowsOnlyIdleWorkers) {
+  ThreadPool pool(3);
+  // One worker parked, one running the outer body, one idle: the nested
+  // loop may spread over its own thread and the idle worker, never more,
+  // so nesting cannot oversubscribe the pool.
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  std::thread parker = ParkWorkers(pool, 1, opened);
+  Mutex mu;
+  std::set<std::thread::id> threads;
+  int calls = 0;
+  RunOnAWorker(pool, [&] {
+    pool.ParallelFor(0, 64, [&](std::int64_t) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      MutexLock lock(mu);
+      threads.insert(std::this_thread::get_id());
+      ++calls;
+    });
+  });
+  gate.set_value();
+  parker.join();
+  MutexLock lock(mu);
+  EXPECT_EQ(calls, 64);
+  EXPECT_GE(threads.size(), 1u);
+  EXPECT_LE(threads.size(), 2u);
+}
+
+TEST(ThreadPoolTest, ConcurrentCallersEachCoverTheirRange) {
+  // Two plain threads share one pool (as two engines executing at once
+  // share the global pool): each loop still runs every index exactly
+  // once and returns.
+  ThreadPool pool(3);
+  constexpr int kN = 5000;
+  std::vector<std::atomic<int>> a(kN);
+  std::vector<std::atomic<int>> b(kN);
+  std::thread first([&] {
+    pool.ParallelFor(0, kN, [&](std::int64_t i) { a[i].fetch_add(1); });
+  });
+  std::thread second([&] {
+    pool.ParallelFor(0, kN, [&](std::int64_t i) { b[i].fetch_add(1); });
+  });
+  first.join();
+  second.join();
+  for (int i = 0; i < kN; ++i) {
+    ASSERT_EQ(a[i].load(), 1) << "first loop, index " << i;
+    ASSERT_EQ(b[i].load(), 1) << "second loop, index " << i;
+  }
 }
 
 TEST(ThreadPoolTest, CallerDoesNotWaitForQueuedHelper) {
@@ -188,12 +260,7 @@ TEST(ThreadPoolTest, CallerDoesNotWaitForQueuedHelper) {
   // cannot start.  The caller must drain the range itself and return.
   std::promise<void> gate;
   std::shared_future<void> opened = gate.get_future().share();
-  std::atomic<bool> parked{false};
-  auto blocker = pool.Submit([&parked, opened] {
-    parked.store(true);
-    opened.wait();
-  });
-  while (!parked.load()) std::this_thread::yield();
+  std::thread parker = ParkWorkers(pool, 1, opened);
   std::atomic<int> calls{0};
   std::atomic<int> off_caller{0};
   auto loop = std::async(std::launch::async, [&] {
@@ -206,9 +273,9 @@ TEST(ThreadPoolTest, CallerDoesNotWaitForQueuedHelper) {
   const bool returned =
       loop.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
   gate.set_value();
+  parker.join();
   ASSERT_TRUE(returned) << "caller waited for a helper that never started";
   loop.get();
-  blocker.get();
   EXPECT_EQ(calls.load(), 8);
   EXPECT_EQ(off_caller.load(), 0);
 }
@@ -230,26 +297,31 @@ TEST(ThreadPoolTest, NestedParallelForRethrowsLowestIndexFirst) {
   };
   for (int round = 0; round < 20; ++round) {
     EXPECT_EQ(lowest_failure(), "fail at 0");
-    EXPECT_EQ(pool.Submit(lowest_failure).get(), "fail at 0");
+    std::string from_worker;
+    RunOnAWorker(pool, [&] { from_worker = lowest_failure(); });
+    EXPECT_EQ(from_worker, "fail at 0");
   }
 }
 
 TEST(ThreadPoolTest, InWorkerIsTrueOnlyOnPoolThreads) {
   ThreadPool pool(2);
+  ThreadPool other(1);
   EXPECT_FALSE(pool.InWorker());
-  auto fut = pool.Submit([&] { return pool.InWorker(); });
-  EXPECT_TRUE(fut.get());
-}
-
-TEST(ThreadPoolTest, DestructorDrainsPendingTasks) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(1);
-    for (int i = 0; i < 64; ++i) {
-      pool.Submit([&] { ran.fetch_add(1); });
-    }
-  }  // ~ThreadPool must run all 64 tasks before joining.
-  EXPECT_EQ(ran.load(), 64);
+  bool on_worker = false;
+  bool on_other_pool = true;
+  RunOnAWorker(pool, [&] {
+    on_worker = pool.InWorker();
+    on_other_pool = other.InWorker();
+  });
+  EXPECT_TRUE(on_worker);
+  EXPECT_FALSE(on_other_pool);
+  // A loop body the caller runs inline stays off the pool's workers.
+  ThreadPool inline_pool(0);
+  bool inline_in_worker = true;
+  inline_pool.ParallelFor(0, 1, [&](std::int64_t) {
+    inline_in_worker = inline_pool.InWorker();
+  });
+  EXPECT_FALSE(inline_in_worker);
 }
 
 TEST(GlobalThreadPoolTest, ResizeControlsParallelism) {

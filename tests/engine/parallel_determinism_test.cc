@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -72,31 +71,14 @@ void ExpectIdenticalRuns(const Engine::RunResult& serial,
   EXPECT_EQ(a.max_task_memory, b.max_task_memory);
   EXPECT_EQ(a.elapsed_seconds, b.elapsed_seconds);
 
-  // Recovery: the injector's schedule is a pure function of
-  // (seed, stage, item, attempt), so the thread count cannot change it.
+  // The OOM degradation ladder decides from modeled budgets and the
+  // deterministic accounting above, so the thread count cannot change it.
   ASSERT_EQ(a.telemetry.size(), b.telemetry.size());
   for (std::size_t s = 0; s < a.telemetry.size(); ++s) {
-    SCOPED_TRACE("telemetry " + a.telemetry[s].label);
-    EXPECT_EQ(a.telemetry[s].recovery.attempts,
-              b.telemetry[s].recovery.attempts);
-    EXPECT_EQ(a.telemetry[s].recovery.retries,
-              b.telemetry[s].recovery.retries);
-    EXPECT_EQ(a.telemetry[s].recovery.injected_failures,
-              b.telemetry[s].recovery.injected_failures);
-    EXPECT_EQ(a.telemetry[s].recovery.exhausted_items,
-              b.telemetry[s].recovery.exhausted_items);
+    EXPECT_EQ(a.telemetry[s].degradations, b.telemetry[s].degradations)
+        << a.telemetry[s].label;
   }
-}
-
-/// `options` with a seeded task-failure schedule and enough attempts for
-/// every work item to succeed eventually.
-EngineOptions WithFaults(EngineOptions options, std::uint64_t seed,
-                         double probability) {
-  options.faults.seed = seed;
-  options.faults.task_failure_probability = probability;
-  options.recovery.retry.max_attempts = 5;
-  options.recovery.retry.backoff_base_seconds = 0.0;
-  return options;
+  EXPECT_EQ(a.degradations, b.degradations);
 }
 
 /// Ensures the global pool actually has workers for the parallel runs and
@@ -201,57 +183,6 @@ TEST_F(ParallelDeterminismTest, GnmfSweepOverThreads) {
     SCOPED_TRACE("threads " + std::to_string(threads));
     Engine engine = MakeEngine(Options(threads));
     ExpectIdenticalRuns(base, CompileAndExecute(engine, f.q.dag, f.inputs));
-  }
-}
-
-TEST_F(ParallelDeterminismTest, FaultScheduleIsThreadInvariant) {
-  // Injected failures kill work-item attempts mid-fetch; each retry
-  // refetches from scratch, so outputs, StageStats and the recovery trace
-  // match the serial run at every thread count.
-  GnmfFixture f;
-  for (const auto& [seed, probability] :
-       std::vector<std::pair<std::uint64_t, double>>{{7, 0.3}, {11, 0.6}}) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    Engine serial =
-        MakeEngine(WithFaults(Options(/*local_threads=*/1), seed, probability));
-    const Engine::RunResult base = CompileAndExecute(serial, f.q.dag, f.inputs);
-    ASSERT_TRUE(base.report.ok()) << base.report.status;
-    ASSERT_GT(base.report.total_retries(), 0) << "schedule injected nothing";
-    for (int threads : {4, 8}) {
-      SCOPED_TRACE("threads " + std::to_string(threads));
-      Engine engine =
-          MakeEngine(WithFaults(Options(threads), seed, probability));
-      ExpectIdenticalRuns(base, CompileAndExecute(engine, f.q.dag, f.inputs));
-    }
-  }
-}
-
-TEST_F(ParallelDeterminismTest, ForcedOperatorsUnderFaultSchedule) {
-  // The fused NMF plan forced through BFO and the two-phase kCpmm path,
-  // replayed with failures injected into both phases.
-  NmfPattern q = BuildNmfPattern(40, 36, 24, /*x_nnz=*/288);
-  std::map<NodeId, BlockedMatrix> inputs;
-  inputs[q.X] = BlockedMatrix::FromSparse(
-      RandomSparse(40, 36, 0.2, /*seed=*/61, 1.0, 5.0), kBs);
-  inputs[q.U] =
-      BlockedMatrix::FromDense(RandomDense(40, 24, /*seed=*/62, 0.5, 1.5), kBs);
-  inputs[q.V] =
-      BlockedMatrix::FromDense(RandomDense(36, 24, /*seed=*/63, 0.5, 1.5), kBs);
-  FusionPlanSet full;
-  full.plans.emplace_back(
-      &q.dag, std::vector<NodeId>{q.vT, q.mm, q.add, q.log, q.mul}, q.mul);
-  for (OperatorKind kind : {OperatorKind::kBfo, OperatorKind::kCpmm}) {
-    SCOPED_TRACE("operator " + std::to_string(static_cast<int>(kind)));
-    Engine serial =
-        MakeEngine(WithFaults(Options(/*local_threads=*/1), 7, 0.4));
-    Engine parallel =
-        MakeEngine(WithFaults(Options(/*local_threads=*/8), 7, 0.4));
-    auto compiled = serial.CompileWithPlans(q.dag, full, kind);
-    ASSERT_TRUE(compiled.ok()) << compiled.status();
-    const Engine::RunResult base = serial.Execute(*compiled, inputs);
-    ASSERT_TRUE(base.report.ok()) << base.report.status;
-    EXPECT_GT(base.report.total_retries(), 0) << "schedule injected nothing";
-    ExpectIdenticalRuns(base, parallel.Execute(*compiled, inputs));
   }
 }
 

@@ -11,7 +11,6 @@
 #include "common/thread_pool.h"
 #include "engine/reference.h"
 #include "matrix/generators.h"
-#include "runtime/fault_injector.h"
 #include "telemetry/tracer.h"
 #include "workloads/queries.h"
 
@@ -246,25 +245,18 @@ TEST(CuboidFusedOperatorTest, GnmfFusedPlanMatchesReference) {
 struct CfoRun {
   DenseMatrix out;
   std::vector<TaskAccounting> tasks;
-  std::int64_t retries = 0;
 };
 
-CfoRun RunCfo(NmfCase* c, Cuboid cb, int threads,
-              const FaultInjector* injector) {
+CfoRun RunCfo(NmfCase* c, Cuboid cb, int threads) {
   ClusterConfig config = TestCluster();
   config.local_threads = threads;
   StageContext ctx("cfo-groups", config);
-  if (injector != nullptr) {
-    ctx.ConfigureRecovery(injector, /*stage_ordinal=*/0,
-                          RetryPolicy{.max_attempts = 32});
-  }
   auto result =
       CuboidFusedOperator::Execute(c->Plan(), cb, c->bound.Inputs(6), &ctx);
   FUSEME_CHECK(result.ok()) << result.status();
   CfoRun run;
   run.out = result->blocks().ToDense();
   for (int t = 0; t < ctx.num_tasks(); ++t) run.tasks.push_back(ctx.task(t));
-  run.retries = ctx.recovery().retries;
   return run;
 }
 
@@ -307,30 +299,18 @@ TEST_P(CuboidFusedOperatorKGroupTest, GroupsAreThreadCountInvariant) {
   // dense X leaves no sparse driver.
   const bool masked = GetParam();
   NmfCase c(26, 22, 40, masked ? 0.1 : 1.0);
-  FaultSpec spec;
-  spec.seed = 11;
-  spec.task_failure_probability = 0.5;
-  const FaultInjector injector(spec);
-  std::int64_t total_retries = 0;
   for (Cuboid cb : {Cuboid{1, 1, 4, 1}, Cuboid{1, 1, 4, 2},
                     Cuboid{1, 1, 4, 3}, Cuboid{1, 1, 4, 4},
                     Cuboid{2, 1, 2, 1}, Cuboid{2, 1, 2, 2},
                     Cuboid{1, 2, 2, 1}, Cuboid{1, 2, 2, 2}}) {
     SCOPED_TRACE(cb.ToString());
-    const CfoRun serial = RunCfo(&c, cb, 1, nullptr);
+    const CfoRun serial = RunCfo(&c, cb, 1);
     EXPECT_LE(DenseMatrix::MaxAbsDiff(serial.out, c.expected), 1e-9);
-    const CfoRun serial_faulted = RunCfo(&c, cb, 1, &injector);
-    ExpectSameRun(serial, serial_faulted);
-    total_retries += serial_faulted.retries;
     for (int threads : {2, 3, 4, 8}) {
       SCOPED_TRACE("threads " + std::to_string(threads));
-      ExpectSameRun(serial, RunCfo(&c, cb, threads, nullptr));
-      const CfoRun faulted = RunCfo(&c, cb, threads, &injector);
-      ExpectSameRun(serial, faulted);
-      EXPECT_EQ(faulted.retries, serial_faulted.retries);
+      ExpectSameRun(serial, RunCfo(&c, cb, threads));
     }
   }
-  EXPECT_GT(total_retries, 0) << "the fault schedule never fired";
 }
 
 INSTANTIATE_TEST_SUITE_P(DriverKinds, CuboidFusedOperatorKGroupTest,

@@ -102,6 +102,54 @@ TEST(SimulatorTest, TimeoutTrips) {
   EXPECT_TRUE(st.IsTimedOut());
 }
 
+TEST(SimulatorTest, CompleteStageWithoutRelaunchesEqualsEstimateBitwise) {
+  ClusterConfig config = TestCluster();
+  config.task_launch_overhead = 0.37;
+  config.shuffle_cpu_factor = 0.3;
+  Simulator sim(config);
+  // Odd shapes so the estimate is not a round number: a multi-wave tail
+  // with mixed network and compute terms.
+  for (const StageStats& stage :
+       {MakeStage(13, 7777, 123457), MakeStage(3, 1, 99991),
+        MakeStage(0, 0, 0)}) {
+    const double estimate = sim.EstimateStageSeconds(stage);
+    const double before = sim.elapsed_seconds();
+    ASSERT_TRUE(sim.CompleteStage(stage, /*relaunches=*/0).ok());
+    EXPECT_EQ(sim.stages().back().elapsed_seconds, estimate);
+    EXPECT_EQ(sim.elapsed_seconds(), before + estimate);
+  }
+}
+
+TEST(SimulatorTest, CompleteStageAddsOneLaunchOverheadPerRelaunch) {
+  ClusterConfig config = TestCluster();
+  config.task_launch_overhead = 0.37;
+  const StageStats stage = MakeStage(13, 7777, 123457);
+  for (std::int64_t relaunches : {1, 2, 6}) {
+    Simulator sim(config);
+    const double estimate = sim.EstimateStageSeconds(stage);
+    ASSERT_TRUE(sim.CompleteStage(stage, relaunches).ok());
+    EXPECT_EQ(sim.stages().back().elapsed_seconds,
+              estimate + static_cast<double>(relaunches) * 0.37)
+        << relaunches << " relaunches";
+    EXPECT_EQ(sim.elapsed_seconds(), sim.stages().back().elapsed_seconds);
+  }
+}
+
+TEST(SimulatorTest, RelaunchOverheadCanTripTheDeadline) {
+  // A 2.5 s stage (2 s busy plus one 0.5 s launch) fits a 2.9 s horizon;
+  // the same stage after two degradation re-launches (3.5 s) does not.
+  ClusterConfig config = TestCluster();
+  config.task_launch_overhead = 0.5;
+  config.timeout_seconds = 2.9;
+  Simulator clean(config);
+  ASSERT_DOUBLE_EQ(clean.EstimateStageSeconds(MakeStage(8, 4000, 0)), 2.5);
+  EXPECT_TRUE(clean.CompleteStage(MakeStage(8, 4000, 0)).ok());
+  Simulator relaunched(config);
+  EXPECT_TRUE(
+      relaunched.CompleteStage(MakeStage(8, 4000, 0), /*relaunches=*/2)
+          .IsTimedOut());
+}
+
 TEST(SimulatorTest, EmptyStageIsFree) {
   Simulator sim(TestCluster());
   EXPECT_DOUBLE_EQ(sim.EstimateStageSeconds(MakeStage(0, 0, 0)), 0.0);

@@ -18,8 +18,8 @@ namespace {
 TEST(EventJournalTest, EmitAndSnapshotPreservesOrderAndPayload) {
   EventJournal journal(/*capacity=*/64);
   journal.Emit(LogLevel::kInfo, event_names::kRunStart, {{"mode", "real"}});
-  journal.Emit(LogLevel::kWarning, event_names::kTaskRetry,
-               {{"stage", "s0"}, {"attempts", "2"}});
+  journal.Emit(LogLevel::kWarning, event_names::kStageDegraded,
+               {{"stage", "s0"}, {"to", "cpmm (1,1,2)"}});
   journal.Emit(LogLevel::kError, event_names::kRunFinish);
 
   const std::vector<JournalEvent> events = journal.Snapshot();
@@ -78,7 +78,7 @@ TEST(EventJournalHammerTest, EightThreadsWraparound) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&journal, t] {
       for (std::int64_t i = 0; i < kPerThread; ++i) {
-        journal.Emit(LogLevel::kInfo, event_names::kTaskRetry,
+        journal.Emit(LogLevel::kInfo, event_names::kStageCommit,
                      {{"thread", std::to_string(t)}, {"i", std::to_string(i)}});
         if (i % 64 == 0) {
           // Concurrent readers must not block or tear events.
