@@ -1,9 +1,8 @@
 // Metrics report: run a named workload (or an ad-hoc expression) with a
 // MetricsRegistry attached to the whole pipeline, then print the per-stage
-// run profile and export the registry in both formats.
+// run profile and export the registry as JSON.
 //
 //   $ ./build/examples/metrics_report [workload] [--analytic] [--check]
-//                                     [--validate-prom]
 //
 // Workloads: gnmf (default), nmf, als, kl, pca, or any expression over the
 // symbols X (sparse n x n), U (n x k), V (n x k), S (n x 1), e.g.
@@ -13,27 +12,20 @@
 // Output:
 //   * the per-stage profile table (time %, shuffle bytes, FLOPs, threads,
 //     predicted-vs-actual verdict) on stdout,
-//   * metrics_report.prom — Prometheus text exposition,
 //   * metrics_report.json — the RunReport (with the embedded snapshot),
 //   * metrics_report.journal.json — the engine's flight-recorder events
 //     (EventJournal::DumpJson).
 //
-// --check additionally validates the Prometheus output with the format
-// checker, round-trips the JSON snapshot through the parser, runs the
-// registry consistency invariants, and parses the journal file back,
-// requiring its run-start and run-finish events; any failure exits
+// --check additionally round-trips the JSON snapshot through the parser,
+// runs the registry consistency invariants, and parses the journal file
+// back, requiring its run-start and run-finish events; any failure exits
 // non-zero (this is the scripts/check.sh smoke step).
-//
-// --validate-prom ignores every other flag: it reads Prometheus text
-// exposition from stdin, runs the format checker, and exits non-zero on
-// a violation (a filter for exposition text produced elsewhere).
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <iostream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -110,20 +102,6 @@ bool WriteFile(const std::string& path, const std::string& text) {
   return true;
 }
 
-/// --validate-prom: stdin -> format checker -> exit status.  Kept free of
-/// any engine machinery so shell pipelines can use it as a filter.
-int ValidatePromFromStdin() {
-  std::ostringstream text;
-  text << std::cin.rdbuf();
-  if (Status s = ValidatePrometheusText(text.str()); !s.ok()) {
-    std::fprintf(stderr, "prometheus validation FAILED: %s\n",
-                 s.ToString().c_str());
-    return 1;
-  }
-  std::printf("prometheus format ok\n");
-  return 0;
-}
-
 /// Parses a journal dump back and requires the events that bracket a run.
 Status CheckJournalFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -153,8 +131,6 @@ int main(int argc, char** argv) {
       check = true;
     } else if (std::strcmp(argv[i], "--analytic") == 0) {
       analytic = true;
-    } else if (std::strcmp(argv[i], "--validate-prom") == 0) {
-      return ValidatePromFromStdin();
     } else {
       workload = argv[i];
     }
@@ -213,22 +189,15 @@ int main(int argc, char** argv) {
                      run.report.telemetry, std::move(snapshot));
   std::printf("%s\n", report.FormatTable().c_str());
 
-  const std::string prom = report.metrics.ToPrometheusText();
-  if (!WriteFile("metrics_report.prom", prom)) return 1;
   if (!WriteFile("metrics_report.json", report.ToJson())) return 1;
   if (!WriteFile("metrics_report.journal.json", engine.journal()->DumpJson())) {
     return 1;
   }
-  std::printf("wrote metrics_report.prom (%zu samples), metrics_report.json "
-              "and metrics_report.journal.json\n",
+  std::printf("wrote metrics_report.json (%zu samples) and "
+              "metrics_report.journal.json\n",
               report.metrics.samples.size());
 
   if (check) {
-    if (Status s = ValidatePrometheusText(prom); !s.ok()) {
-      std::fprintf(stderr, "prometheus validation FAILED: %s\n",
-                   s.ToString().c_str());
-      return 1;
-    }
     Result<MetricsSnapshot> reparsed =
         ParseMetricsJson(report.metrics.ToJson());
     if (!reparsed.ok() || !(*reparsed == report.metrics)) {
@@ -247,8 +216,8 @@ int main(int argc, char** argv) {
                    s.ToString().c_str());
       return 1;
     }
-    std::printf("checks: prometheus format, JSON round-trip, registry "
-                "consistency, and journal file all passed\n");
+    std::printf("checks: JSON round-trip, registry consistency, and "
+                "journal file all passed\n");
   }
   return run.report.ok() ? 0 : 1;
 }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # One-command correctness gate:
 #   1. build with -Werror + run the plain test suite (build/)
-#   2. metrics_report end-to-end smoke (Prometheus/JSON export validation,
-#      journal file round-trip with run-start/run-finish events)
+#   2. metrics_report end-to-end smoke (JSON snapshot round-trip and
+#      consistency, journal file round-trip with run-start/run-finish
+#      events)
 #   3. clang-tidy static analysis (skipped with a warning when the tool
 #      is not installed — see scripts/run_tidy.sh)
 #   4. fuseme_lint repo-invariant scan (scripts/run_lint.sh — never
@@ -35,7 +36,7 @@ METRICS_REPORT="$PWD/build/examples/metrics_report"
   exit 1
 }
 rm -rf "$SMOKE_DIR"
-echo "ok: metrics_report exports and journal file validated"
+echo "ok: metrics_report JSON snapshot and journal file validated"
 
 if [[ "${FUSEME_CHECK_BENCH:-0}" == "1" ]]; then
   echo "== bench smoke (BENCH_*.json + metrics snapshot) =="

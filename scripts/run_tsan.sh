@@ -17,7 +17,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 # parallel operators (including the serial-vs-parallel determinism suite
 # and the OOM degradation ladder's thread sweep, whose rungs re-run a
 # stage's work items on the pool after a mid-stage overrun).
-REGEX=${1:-'Synchronization|ThreadPool|GlobalThreadPool|ParallelDeterminism|MatMul|BlockedMatrix|Stage|FusedOperator|OperatorSweep|Metrics|Logging|FaultTolerance|OomLadder|OptionsValidation|SparseKernels|EventJournal|SolverRegistry|CompiledPlan'}
+REGEX=${1:-'Synchronization|ThreadPool|GlobalThreadPool|ParallelDeterminism|MatMul|BlockedMatrix|Stage|FusedOperator|OperatorSweep|Metrics|Logging|FaultTolerance|OomLadder|OptionsValidation|SparseKernels|ConcurrentEngines|EventJournal|SolverRegistry|CompiledPlan'}
 
 # Exercise more than one thread even on small CI machines.
 export FUSEME_THREADS=${FUSEME_THREADS:-4}

@@ -136,7 +136,6 @@ Result<Engine> Engine::Create(EngineOptions options) {
 SolverEnv Engine::MakeSolverEnv(bool silent) const {
   SolverEnv env;
   env.model = &model_;
-  env.pruned_search = options_.pruned_search;
   env.balance_sparsity = options_.balance_sparsity;
   env.metrics = silent ? nullptr : options_.metrics;
   env.journal = silent ? nullptr : journal_.get();
@@ -318,6 +317,21 @@ Result<Engine::DegradationStep> Engine::NextDegradation(
                                "shrink_cuboid"};
       }
     }
+    // Halving can jump past every cuboid that still fits: MemEst
+    // underestimates the measured per-task peak (about 2x on small
+    // cells), so a cuboid just below the failed one's MemEst may complete
+    // where the halved budget admits none.  Search there once more.
+    if (failed.present) {
+      const double below =
+          std::nextafter(failed.mem_per_task, 0.0) /
+          static_cast<double>(options_.cluster.task_memory_budget);
+      Result<StagePrediction> pred =
+          PredictStage(plan, OperatorKind::kCfo, inputs, below);
+      if (pred.ok() && !(pred->cuboid == failed.cuboid)) {
+        return DegradationStep{OperatorKind::kCfo, *std::move(pred), below,
+                               "shrink_cuboid"};
+      }
+    }
   }
   // Final rung: the (1,1,R) shuffle matmul, feasible only for plans whose
   // output merges coordinate-wise.
@@ -399,8 +413,6 @@ Result<DistributedMatrix> Engine::RunPlanAnalytic(const PartialPlan& plan,
 Engine::RunResult Engine::ExecuteCompiled(
     const Dag& dag, const FusionPlanSet& plans, const CompiledStageTable& table,
     const std::map<NodeId, BlockedMatrix>& inputs) const {
-  RunResult out;
-  out.report.plan_description = table.description;
   if (options_.tracer != nullptr) options_.tracer->NameCurrentThread("driver");
   if (journal_ != nullptr) {
     journal_->Emit(
@@ -409,6 +421,29 @@ Engine::RunResult Engine::ExecuteCompiled(
          {"mode", options_.analytic ? "analytic" : "real"},
          {"plans", std::to_string(plans.plans.size())}});
   }
+  RunResult out = RunStages(dag, plans, table, inputs);
+  if (options_.metrics != nullptr) {
+    options_.metrics
+        ->GetCounter(metric_names::kEngineRuns,
+                     {{"status", RunStatusLabel(out.report.status)}})
+        ->Increment();
+  }
+  if (journal_ != nullptr) {
+    journal_->Emit(
+        out.report.status.ok() ? LogLevel::kInfo : LogLevel::kError,
+        event_names::kRunFinish,
+        {{"status", RunStatusLabel(out.report.status)},
+         {"elapsed_seconds", std::to_string(out.report.elapsed_seconds)},
+         {"stages", std::to_string(out.report.stages.size())}});
+  }
+  return out;
+}
+
+Engine::RunResult Engine::RunStages(
+    const Dag& dag, const FusionPlanSet& plans, const CompiledStageTable& table,
+    const std::map<NodeId, BlockedMatrix>& inputs) const {
+  RunResult out;
+  out.report.plan_description = table.description;
 
   PlanVerifier verifier(&model_);
   verifier.set_metrics(options_.metrics);
@@ -433,10 +468,6 @@ Engine::RunResult Engine::ExecuteCompiled(
           journal_->Emit(LogLevel::kError, event_names::kVerifierDiagnostic,
                          {{"rule", d.rule}, {"detail", d.ToString()}});
         }
-        journal_->Emit(LogLevel::kError, event_names::kRunFinish,
-                       {{"status", RunStatusLabel(out.report.status)},
-                        {"elapsed_seconds", "0"},
-                        {"stages", "0"}});
       }
       out.report.verifier_diagnostics = std::move(diags);
       return out;
@@ -450,26 +481,12 @@ Engine::RunResult Engine::ExecuteCompiled(
     out.report.status = Status::Internal(
         "compiled stage table has " + std::to_string(table.stages.size()) +
         " stage(s) for " + std::to_string(plans.plans.size()) + " plan(s)");
-    if (journal_ != nullptr) {
-      journal_->Emit(LogLevel::kError, event_names::kRunFinish,
-                     {{"status", RunStatusLabel(out.report.status)},
-                      {"elapsed_seconds", "0"},
-                      {"stages", "0"}});
-    }
     return out;
   }
 
   out.report.status =
       CheckInputBlockSizes(dag, inputs, options_.cluster.block_size);
-  if (!out.report.status.ok()) {
-    if (journal_ != nullptr) {
-      journal_->Emit(LogLevel::kError, event_names::kRunFinish,
-                     {{"status", RunStatusLabel(out.report.status)},
-                      {"elapsed_seconds", "0"},
-                      {"stages", "0"}});
-    }
-    return out;
-  }
+  if (!out.report.status.ok()) return out;
 
   const SolverEnv solver_env = MakeSolverEnv();
   Simulator sim(options_.cluster);
@@ -728,20 +745,6 @@ Engine::RunResult Engine::ExecuteCompiled(
         out.outputs.emplace(output, std::move(it->second));
       }
     }
-  }
-  if (options_.metrics != nullptr) {
-    options_.metrics
-        ->GetCounter(metric_names::kEngineRuns,
-                     {{"status", RunStatusLabel(out.report.status)}})
-        ->Increment();
-  }
-  if (journal_ != nullptr) {
-    journal_->Emit(
-        out.report.status.ok() ? LogLevel::kInfo : LogLevel::kError,
-        event_names::kRunFinish,
-        {{"status", RunStatusLabel(out.report.status)},
-         {"elapsed_seconds", std::to_string(out.report.elapsed_seconds)},
-         {"stages", std::to_string(out.report.stages.size())}});
   }
   return out;
 }

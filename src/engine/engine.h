@@ -105,8 +105,6 @@ struct EngineOptions {
   ClusterConfig cluster;
   /// true: metadata-only analytic execution (no numeric block data).
   bool analytic = false;
-  /// Use the pruning (P,Q,R) search instead of the exhaustive one.
-  bool pruned_search = true;
   /// Skew-aware cuboid splits (see CuboidOptions::balance_sparsity).
   /// Real-mode only: the analytic path models aggregate totals, which
   /// balancing does not change.
@@ -293,11 +291,19 @@ class Engine {
   CompiledStageTable CompileStages(const Dag& dag, const FusionPlanSet& plans,
                                    OperatorKind forced) const;
 
-  /// The execute half: replays a compiled stage table against `inputs`.
+  /// The execute half: replays a compiled stage table against `inputs`
+  /// through RunStages, bracketed by the run-start event and the one
+  /// finish step (fuseme_engine_runs_total{status} and the run-finish
+  /// event) that every exit of RunStages goes through.
   RunResult ExecuteCompiled(
       const Dag& dag, const FusionPlanSet& plans,
       const CompiledStageTable& table,
       const std::map<NodeId, BlockedMatrix>& inputs) const;
+  /// Verification replay, input checks and the stage loop of
+  /// ExecuteCompiled; returns early on the first failure.
+  RunResult RunStages(const Dag& dag, const FusionPlanSet& plans,
+                      const CompiledStageTable& table,
+                      const std::map<NodeId, BlockedMatrix>& inputs) const;
 
   /// Fills `stats` from the prediction's closed forms (plus the engine's
   /// narrow-dependency and output-write adjustments) and returns the

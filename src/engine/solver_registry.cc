@@ -51,8 +51,7 @@ PqrChoice OptimizeCuboid(const SolverEnv& env, const PartialPlan& plan,
   auto search = [&](const CostModel* model) {
     PqrOptimizer optimizer(model);
     optimizer.set_metrics(env.metrics);
-    return env.pruned_search ? optimizer.Pruned(plan, max_r)
-                             : optimizer.Exhaustive(plan, max_r);
+    return optimizer.Pruned(plan, max_r);
   };
   PqrChoice choice;
   if (budget_factor == 1.0) {

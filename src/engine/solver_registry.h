@@ -37,7 +37,6 @@ namespace fuseme {
 /// `model` is required, the sinks may be null.
 struct SolverEnv {
   const CostModel* model = nullptr;
-  bool pruned_search = true;
   bool balance_sparsity = false;
   MetricsRegistry* metrics = nullptr;
   EventJournal* journal = nullptr;

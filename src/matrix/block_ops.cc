@@ -49,7 +49,7 @@ Status CheckSameShape(const Block& a, const Block& b, const char* op) {
 }  // namespace
 
 Result<Block> EwiseBinary(BinaryFn fn, const Block& a, const Block& b,
-                          std::int64_t* flops) {
+                          std::int64_t* flops, SparseKernelCounts* counts) {
   FUSEME_RETURN_IF_ERROR(CheckSameShape(a, b, "EwiseBinary"));
   const std::int64_t cells = a.size();
 
@@ -75,7 +75,8 @@ Result<Block> EwiseBinary(BinaryFn fn, const Block& a, const Block& b,
       // Per-row sorted merge-join: O(nnz(a) + nnz(b)) instead of a binary
       // search per entry.  Charge matches the meta estimator's bound.
       std::int64_t merge_flops = 0;
-      SparseMatrix out = EwiseMulMergeJoin(a.sparse(), b.sparse(), &merge_flops);
+      SparseMatrix out =
+          EwiseMulMergeJoin(a.sparse(), b.sparse(), &merge_flops, counts);
       AddFlops(flops, merge_flops);
       return NormalizeSparse(std::move(out));
     }
@@ -228,7 +229,7 @@ Result<Block> Unary(UnaryFn fn, const Block& a, std::int64_t* flops) {
 }
 
 Status MatMulAcc(DenseMatrix* acc, const Block& a, const Block& b,
-                 std::int64_t* flops) {
+                 std::int64_t* flops, SparseKernelCounts* counts) {
   if (a.cols() != b.rows()) {
     return Status::InvalidArgument("MatMulAcc: inner dimension mismatch " +
                                    a.ToString() + " x " + b.ToString());
@@ -252,9 +253,9 @@ Status MatMulAcc(DenseMatrix* acc, const Block& a, const Block& b,
   // accumulation order preserved → bitwise-identical at any thread count).
   if (a_sparse) {
     if (b_sparse) {
-      SpmmAccSparseSparse(acc, a.sparse(), b.sparse(), flops);
+      SpmmAccSparseSparse(acc, a.sparse(), b.sparse(), flops, counts);
     } else {
-      SpmmAccSparseDense(acc, a.sparse(), b.dense(), flops);
+      SpmmAccSparseDense(acc, a.sparse(), b.dense(), flops, counts);
     }
     return Status::OK();
   }
@@ -262,7 +263,7 @@ Status MatMulAcc(DenseMatrix* acc, const Block& a, const Block& b,
     // i-outer row-streaming loop (contiguous reads of a's row, forward
     // sweeps over b's CSR); per output element the k contributions still
     // accumulate in ascending order, matching the old k-outer loop bitwise.
-    SpmmAccDenseSparse(acc, a.dense(), b.sparse(), flops);
+    SpmmAccDenseSparse(acc, a.dense(), b.sparse(), flops, counts);
     return Status::OK();
   }
   // Dense × dense: the register-blocked kernel this CPU supports best
@@ -273,7 +274,8 @@ Status MatMulAcc(DenseMatrix* acc, const Block& a, const Block& b,
   return Status::OK();
 }
 
-Result<Block> MatMul(const Block& a, const Block& b, std::int64_t* flops) {
+Result<Block> MatMul(const Block& a, const Block& b, std::int64_t* flops,
+                     SparseKernelCounts* counts) {
   if (a.cols() != b.rows()) {
     return Status::InvalidArgument("MatMul: inner dimension mismatch " +
                                    a.ToString() + " x " + b.ToString());
@@ -287,7 +289,7 @@ Result<Block> MatMul(const Block& a, const Block& b, std::int64_t* flops) {
   }
   if (a.is_zero() || b.is_zero()) return Block::Zero(a.rows(), b.cols());
   DenseMatrix acc(a.rows(), b.cols());
-  FUSEME_RETURN_IF_ERROR(MatMulAcc(&acc, a, b, flops));
+  FUSEME_RETURN_IF_ERROR(MatMulAcc(&acc, a, b, flops, counts));
   return NormalizeDense(std::move(acc));
 }
 

@@ -8,7 +8,9 @@
 //
 // All kernels accept an optional `flops` accumulator; when non-null, the
 // number of floating-point operations performed (or, for meta blocks,
-// estimated) is added to it.
+// estimated) is added to it.  The kernels that can route through the
+// sparse kernel layer (EwiseBinary, MatMul, MatMulAcc) also take an
+// optional SparseKernelCounts (sparse_kernels.h) that those calls add to.
 
 #ifndef FUSEME_MATRIX_BLOCK_OPS_H_
 #define FUSEME_MATRIX_BLOCK_OPS_H_
@@ -21,9 +23,12 @@
 
 namespace fuseme {
 
+struct SparseKernelCounts;
+
 /// Element-wise binary op; shapes must match exactly.
 Result<Block> EwiseBinary(BinaryFn fn, const Block& a, const Block& b,
-                          std::int64_t* flops = nullptr);
+                          std::int64_t* flops = nullptr,
+                          SparseKernelCounts* counts = nullptr);
 
 /// Element-wise op against a scalar.  `scalar_left` selects fn(s, a_ij)
 /// versus fn(a_ij, s).
@@ -36,12 +41,14 @@ Result<Block> Unary(UnaryFn fn, const Block& a,
 
 /// Matrix multiplication a(m×k) · b(k×n).
 Result<Block> MatMul(const Block& a, const Block& b,
-                     std::int64_t* flops = nullptr);
+                     std::int64_t* flops = nullptr,
+                     SparseKernelCounts* counts = nullptr);
 
 /// acc += a·b with a dense accumulator — used for k-axis aggregation of
 /// partial products.  Shapes must match acc (CHECKed).
 Status MatMulAcc(DenseMatrix* acc, const Block& a, const Block& b,
-                 std::int64_t* flops = nullptr);
+                 std::int64_t* flops = nullptr,
+                 SparseKernelCounts* counts = nullptr);
 
 /// Transpose (reorganization operator r(T)).
 Result<Block> Transpose(const Block& a, std::int64_t* flops = nullptr);

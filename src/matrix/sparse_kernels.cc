@@ -1,7 +1,6 @@
 #include "matrix/sparse_kernels.h"
 
 #include <algorithm>
-#include <atomic>
 #include <functional>
 
 #include "common/logging.h"
@@ -11,25 +10,10 @@ namespace fuseme {
 
 namespace {
 
-// Process-wide counters.  Relaxed is enough: each is an independent
-// monotonic total, snapshots only feed telemetry.
-std::atomic<std::int64_t> g_spmm_sd_calls{0};
-std::atomic<std::int64_t> g_spmm_ds_calls{0};
-std::atomic<std::int64_t> g_spmm_ss_calls{0};
-std::atomic<std::int64_t> g_transpose_spmm_calls{0};
-std::atomic<std::int64_t> g_sddmm_calls{0};
-std::atomic<std::int64_t> g_merge_join_calls{0};
-std::atomic<std::int64_t> g_flops{0};
-std::atomic<std::int64_t> g_sddmm_dots{0};
-std::atomic<std::int64_t> g_parallel_launches{0};
-
-void Bump(std::atomic<std::int64_t>& counter, std::int64_t amount = 1) {
-  counter.fetch_add(amount, std::memory_order_relaxed);
-}
-
-void AddFlops(std::int64_t* flops, std::int64_t amount) {
+void AddFlops(std::int64_t* flops, SparseKernelCounts* counts,
+              std::int64_t amount) {
   if (flops != nullptr) *flops += amount;
-  Bump(g_flops, amount);
+  if (counts != nullptr) counts->flops += amount;
 }
 
 /// Runs `range(i0, i1)` over [0, rows) — split into kSparseRowSlab slabs
@@ -40,11 +24,12 @@ void AddFlops(std::int64_t* flops, std::int64_t amount) {
 /// (a parallel distributed operator) borrows only idle workers and runs
 /// inline when there are none, like the dense GEMM.
 void ForRowSlabs(std::int64_t rows, std::int64_t est_flops,
+                 SparseKernelCounts* counts,
                  const std::function<void(std::int64_t, std::int64_t)>& range) {
   const std::int64_t slabs = (rows + kSparseRowSlab - 1) / kSparseRowSlab;
   if (slabs > 1 && est_flops >= kSparseParallelFlops &&
       GlobalParallelism() > 1) {
-    Bump(g_parallel_launches);
+    if (counts != nullptr) ++counts->parallel_launches;
     GlobalThreadPool()->ParallelFor(0, slabs, [&](std::int64_t slab) {
       const std::int64_t i0 = slab * kSparseRowSlab;
       range(i0, std::min(rows, i0 + kSparseRowSlab));
@@ -56,33 +41,19 @@ void ForRowSlabs(std::int64_t rows, std::int64_t est_flops,
 
 }  // namespace
 
-SparseKernelStats SparseKernelStatsSnapshot() {
-  SparseKernelStats s;
-  s.spmm_sparse_dense_calls = g_spmm_sd_calls.load(std::memory_order_relaxed);
-  s.spmm_dense_sparse_calls = g_spmm_ds_calls.load(std::memory_order_relaxed);
-  s.spmm_sparse_sparse_calls = g_spmm_ss_calls.load(std::memory_order_relaxed);
-  s.transpose_spmm_calls =
-      g_transpose_spmm_calls.load(std::memory_order_relaxed);
-  s.sddmm_calls = g_sddmm_calls.load(std::memory_order_relaxed);
-  s.ewise_merge_join_calls = g_merge_join_calls.load(std::memory_order_relaxed);
-  s.flops = g_flops.load(std::memory_order_relaxed);
-  s.sddmm_dots = g_sddmm_dots.load(std::memory_order_relaxed);
-  s.parallel_launches = g_parallel_launches.load(std::memory_order_relaxed);
-  return s;
-}
-
 void SpmmAccSparseDense(DenseMatrix* acc, const SparseMatrix& a,
-                        const DenseMatrix& b, std::int64_t* flops) {
+                        const DenseMatrix& b, std::int64_t* flops,
+                        SparseKernelCounts* counts) {
   FUSEME_CHECK_EQ(a.cols(), b.rows());
   FUSEME_CHECK_EQ(acc->rows(), a.rows());
   FUSEME_CHECK_EQ(acc->cols(), b.cols());
-  Bump(g_spmm_sd_calls);
+  if (counts != nullptr) ++counts->spmm_sparse_dense_calls;
   const std::int64_t n = b.cols();
   const std::int64_t total = 2 * a.nnz() * n;
   const auto& rp = a.row_ptr();
   const auto& ci = a.col_idx();
   const auto& vals = a.values();
-  ForRowSlabs(a.rows(), total, [&](std::int64_t i0, std::int64_t i1) {
+  ForRowSlabs(a.rows(), total, counts, [&](std::int64_t i0, std::int64_t i1) {
     for (std::int64_t i = i0; i < i1; ++i) {
       double* out = acc->row(i);
       for (std::int64_t p = rp[i]; p < rp[i + 1]; ++p) {
@@ -92,21 +63,22 @@ void SpmmAccSparseDense(DenseMatrix* acc, const SparseMatrix& a,
       }
     }
   });
-  AddFlops(flops, total);
+  AddFlops(flops, counts, total);
 }
 
 void SpmmAccDenseSparse(DenseMatrix* acc, const DenseMatrix& a,
-                        const SparseMatrix& b, std::int64_t* flops) {
+                        const SparseMatrix& b, std::int64_t* flops,
+                        SparseKernelCounts* counts) {
   FUSEME_CHECK_EQ(a.cols(), b.rows());
   FUSEME_CHECK_EQ(acc->rows(), a.rows());
   FUSEME_CHECK_EQ(acc->cols(), b.cols());
-  Bump(g_spmm_ds_calls);
+  if (counts != nullptr) ++counts->spmm_dense_sparse_calls;
   const std::int64_t k = a.cols();
   const std::int64_t total = 2 * a.rows() * b.nnz();
   const auto& rp = b.row_ptr();
   const auto& ci = b.col_idx();
   const auto& vals = b.values();
-  ForRowSlabs(a.rows(), total, [&](std::int64_t i0, std::int64_t i1) {
+  ForRowSlabs(a.rows(), total, counts, [&](std::int64_t i0, std::int64_t i1) {
     for (std::int64_t i = i0; i < i1; ++i) {
       double* out = acc->row(i);
       const double* a_row = a.row(i);
@@ -121,15 +93,16 @@ void SpmmAccDenseSparse(DenseMatrix* acc, const DenseMatrix& a,
       }
     }
   });
-  AddFlops(flops, total);
+  AddFlops(flops, counts, total);
 }
 
 void SpmmAccSparseSparse(DenseMatrix* acc, const SparseMatrix& a,
-                         const SparseMatrix& b, std::int64_t* flops) {
+                         const SparseMatrix& b, std::int64_t* flops,
+                         SparseKernelCounts* counts) {
   FUSEME_CHECK_EQ(a.cols(), b.rows());
   FUSEME_CHECK_EQ(acc->rows(), a.rows());
   FUSEME_CHECK_EQ(acc->cols(), b.cols());
-  Bump(g_spmm_ss_calls);
+  if (counts != nullptr) ++counts->spmm_sparse_sparse_calls;
   const auto& arp = a.row_ptr();
   const auto& aci = a.col_idx();
   const auto& av = a.values();
@@ -142,7 +115,8 @@ void SpmmAccSparseSparse(DenseMatrix* acc, const SparseMatrix& a,
   for (std::int64_t p = 0; p < a.nnz(); ++p) {
     products += brp[aci[p] + 1] - brp[aci[p]];
   }
-  ForRowSlabs(a.rows(), 2 * products, [&](std::int64_t i0, std::int64_t i1) {
+  ForRowSlabs(a.rows(), 2 * products, counts,
+              [&](std::int64_t i0, std::int64_t i1) {
     for (std::int64_t i = i0; i < i1; ++i) {
       double* out = acc->row(i);
       for (std::int64_t p = arp[i]; p < arp[i + 1]; ++p) {
@@ -154,17 +128,18 @@ void SpmmAccSparseSparse(DenseMatrix* acc, const SparseMatrix& a,
       }
     }
   });
-  AddFlops(flops, 2 * products);
+  AddFlops(flops, counts, 2 * products);
 }
 
 void TransposeSpmmAcc(DenseMatrix* acc, const SparseMatrix& a,
-                      const Block& b, std::int64_t* flops) {
+                      const Block& b, std::int64_t* flops,
+                      SparseKernelCounts* counts) {
   FUSEME_CHECK(b.is_real());
   FUSEME_CHECK_EQ(a.rows(), b.rows());  // contraction dimension
   FUSEME_CHECK_EQ(acc->rows(), a.cols());
   FUSEME_CHECK_EQ(acc->cols(), b.cols());
   if (b.is_zero() || a.nnz() == 0) return;
-  Bump(g_transpose_spmm_calls);
+  if (counts != nullptr) ++counts->transpose_spmm_calls;
   const auto& rp = a.row_ptr();
   const auto& ci = a.col_idx();
   const auto& vals = a.values();
@@ -206,19 +181,22 @@ void TransposeSpmmAcc(DenseMatrix* acc, const SparseMatrix& a,
       }
     }
   };
-  ForRowSlabs(acc->rows(), total, range);
-  AddFlops(flops, total);
+  ForRowSlabs(acc->rows(), total, counts, range);
+  AddFlops(flops, counts, total);
 }
 
 void SddmmAcc(const SparseMatrix& mask, const Block& a, const Block& b,
-              std::vector<double>* acc, std::int64_t* flops) {
+              std::vector<double>* acc, std::int64_t* flops,
+              SparseKernelCounts* counts) {
   FUSEME_CHECK(a.is_real() && b.is_real());
   FUSEME_CHECK_EQ(a.cols(), b.rows());
   FUSEME_CHECK_EQ(mask.rows(), a.rows());
   FUSEME_CHECK_EQ(mask.cols(), b.cols());
   FUSEME_CHECK_EQ(static_cast<std::int64_t>(acc->size()), mask.nnz());
-  Bump(g_sddmm_calls);
-  Bump(g_sddmm_dots, mask.nnz());
+  if (counts != nullptr) {
+    ++counts->sddmm_calls;
+    counts->sddmm_dots += mask.nnz();
+  }
   const std::int64_t kdim = a.cols();
   const std::int64_t total = 2 * mask.nnz() * kdim;
   const auto& rp = mask.row_ptr();
@@ -256,15 +234,16 @@ void SddmmAcc(const SparseMatrix& mask, const Block& a, const Block& b,
       }
     }
   };
-  ForRowSlabs(mask.rows(), total, range);
-  AddFlops(flops, total);
+  ForRowSlabs(mask.rows(), total, counts, range);
+  AddFlops(flops, counts, total);
 }
 
 SparseMatrix EwiseMulMergeJoin(const SparseMatrix& a, const SparseMatrix& b,
-                               std::int64_t* flops) {
+                               std::int64_t* flops,
+                               SparseKernelCounts* counts) {
   FUSEME_CHECK_EQ(a.rows(), b.rows());
   FUSEME_CHECK_EQ(a.cols(), b.cols());
-  Bump(g_merge_join_calls);
+  if (counts != nullptr) ++counts->ewise_merge_join_calls;
   const auto& arp = a.row_ptr();
   const auto& aci = a.col_idx();
   const auto& av = a.values();
@@ -299,7 +278,7 @@ SparseMatrix EwiseMulMergeJoin(const SparseMatrix& a, const SparseMatrix& b,
     row_ptr[static_cast<std::size_t>(i) + 1] =
         static_cast<std::int64_t>(col_idx.size());
   }
-  AddFlops(flops, bound);
+  AddFlops(flops, counts, bound);
   return SparseMatrix::FromCsr(a.rows(), a.cols(), std::move(row_ptr),
                                std::move(col_idx), std::move(values));
 }

@@ -11,10 +11,11 @@
 //  * preserve the serial per-output-element accumulation order (ascending
 //    k), so results are bitwise-identical for every thread count.
 //
-// The kernels also maintain process-wide relaxed-atomic counters
-// (SparseKernelStatsSnapshot).  src/matrix cannot depend on telemetry, so
-// the distributed operators snapshot these before/after a stage and feed
-// the deltas into the fuseme_kernel_sparse_* metric families.
+// Each kernel takes an optional caller-owned SparseKernelCounts and adds
+// its calls, FLOPs, SDDMM dots and parallel launches there (null: don't
+// count).  src/matrix cannot depend on telemetry, so the kernel evaluator
+// carries one per work item and the distributed operators fold it into
+// the fuseme_kernel_sparse_* metric families.
 
 #ifndef FUSEME_MATRIX_SPARSE_KERNELS_H_
 #define FUSEME_MATRIX_SPARSE_KERNELS_H_
@@ -37,8 +38,10 @@ inline constexpr std::int64_t kSparseParallelFlops = 1 << 23;
 /// without a weighted split.
 inline constexpr std::int64_t kSparseRowSlab = 64;
 
-/// Process-wide sparse-kernel counters (monotonic; relaxed atomics).
-struct SparseKernelStats {
+/// Work done by the kernels below, added to by every call that is handed
+/// one.  Every bump happens on the calling thread, outside the row-slab
+/// loop, so a struct per caller needs no atomics.
+struct SparseKernelCounts {
   std::int64_t spmm_sparse_dense_calls = 0;
   std::int64_t spmm_dense_sparse_calls = 0;
   std::int64_t spmm_sparse_sparse_calls = 0;
@@ -53,13 +56,11 @@ struct SparseKernelStats {
   std::int64_t parallel_launches = 0;
 };
 
-/// Current totals.  Per-stage deltas: snapshot before and after.
-SparseKernelStats SparseKernelStatsSnapshot();
-
 /// acc += a · b for CSR a and dense b (row-parallel SpMM).  Charges
 /// 2·nnz(a)·cols(b) to *flops.
 void SpmmAccSparseDense(DenseMatrix* acc, const SparseMatrix& a,
-                        const DenseMatrix& b, std::int64_t* flops);
+                        const DenseMatrix& b, std::int64_t* flops,
+                        SparseKernelCounts* counts = nullptr);
 
 /// acc += a · b for dense a and CSR b.  i-outer row-streaming loop: each
 /// output row streams through a's row i while expanding b's rows, so both
@@ -67,12 +68,14 @@ void SpmmAccSparseDense(DenseMatrix* acc, const SparseMatrix& a,
 /// contributions accumulate in ascending order — the same order as the
 /// k-outer formulation.  Charges 2·rows(a)·nnz(b) to *flops.
 void SpmmAccDenseSparse(DenseMatrix* acc, const DenseMatrix& a,
-                        const SparseMatrix& b, std::int64_t* flops);
+                        const SparseMatrix& b, std::int64_t* flops,
+                        SparseKernelCounts* counts = nullptr);
 
 /// acc += a · b for CSR a and CSR b (row-parallel expansion).  Charges
 /// 2·(products actually formed) to *flops.
 void SpmmAccSparseSparse(DenseMatrix* acc, const SparseMatrix& a,
-                         const SparseMatrix& b, std::int64_t* flops);
+                         const SparseMatrix& b, std::int64_t* flops,
+                         SparseKernelCounts* counts = nullptr);
 
 /// acc += aᵀ · b without materializing the transpose: a is stored
 /// untransposed (rows(a) is the contraction dimension) and b is a real
@@ -82,7 +85,8 @@ void SpmmAccSparseSparse(DenseMatrix* acc, const SparseMatrix& a,
 /// the per-element accumulation order (ascending k = a's row index)
 /// matches what SpmmAcc* would produce on the materialized transpose.
 void TransposeSpmmAcc(DenseMatrix* acc, const SparseMatrix& a,
-                      const Block& b, std::int64_t* flops);
+                      const Block& b, std::int64_t* flops,
+                      SparseKernelCounts* counts = nullptr);
 
 /// SDDMM accumulation step: for each stored position (i, j) of `mask`
 /// (pattern only — values are not read), adds dot(a row i, b column j) to
@@ -92,14 +96,16 @@ void TransposeSpmmAcc(DenseMatrix* acc, const SparseMatrix& a,
 /// evaluation of the product.  Callers accumulate across k-blocks by
 /// invoking this once per block pair.  Charges 2·nnz(mask)·a.cols().
 void SddmmAcc(const SparseMatrix& mask, const Block& a, const Block& b,
-              std::vector<double>* acc, std::int64_t* flops);
+              std::vector<double>* acc, std::int64_t* flops,
+              SparseKernelCounts* counts = nullptr);
 
 /// Element-wise product of two CSR matrices by per-row sorted merge-join
 /// (no per-entry binary search).  Explicit zeros in the product are
 /// dropped.  Charges min(nnz(a), nnz(b)) to *flops — the intersection
 /// bound the meta estimator uses.
 SparseMatrix EwiseMulMergeJoin(const SparseMatrix& a, const SparseMatrix& b,
-                               std::int64_t* flops);
+                               std::int64_t* flops,
+                               SparseKernelCounts* counts = nullptr);
 
 }  // namespace fuseme
 

@@ -262,7 +262,7 @@ Result<Block> KernelEvaluator::EvalUncached(NodeId node, std::int64_t bi,
       }
       FUSEME_ASSIGN_OR_RETURN(Block lhs, Eval(n.inputs[0], bi, bj));
       FUSEME_ASSIGN_OR_RETURN(Block rhs, Eval(n.inputs[1], bi, bj));
-      return EwiseBinary(n.binary_fn, lhs, rhs, &flops_);
+      return EwiseBinary(n.binary_fn, lhs, rhs, &flops_, &sparse_);
     }
 
     case OpKind::kMatMul: {
@@ -296,7 +296,7 @@ Result<Block> KernelEvaluator::EvalUncached(NodeId node, std::int64_t bi,
           if (araw.kind() == Block::Kind::kSparse) {
             FUSEME_ASSIGN_OR_RETURN(Block b, Eval(n.inputs[1], kk, bj));
             if (b.is_real()) {
-              TransposeSpmmAcc(&acc, araw.sparse(), b, &mm_flops);
+              TransposeSpmmAcc(&acc, araw.sparse(), b, &mm_flops, &sparse_);
               continue;
             }
           }
@@ -305,7 +305,8 @@ Result<Block> KernelEvaluator::EvalUncached(NodeId node, std::int64_t bi,
         FUSEME_ASSIGN_OR_RETURN(Block b, Eval(n.inputs[1], kk, bj));
         if (a.is_meta() || b.is_meta()) {
           // Simulated data: accumulate descriptors instead of numbers.
-          FUSEME_ASSIGN_OR_RETURN(Block partial, MatMul(a, b, &mm_flops));
+          FUSEME_ASSIGN_OR_RETURN(Block partial,
+                                  MatMul(a, b, &mm_flops, &sparse_));
           if (!all_meta_inputs) {
             meta_result = partial;
             all_meta_inputs = true;
@@ -316,7 +317,7 @@ Result<Block> KernelEvaluator::EvalUncached(NodeId node, std::int64_t bi,
           }
           continue;
         }
-        FUSEME_RETURN_IF_ERROR(MatMulAcc(&acc, a, b, &mm_flops));
+        FUSEME_RETURN_IF_ERROR(MatMulAcc(&acc, a, b, &mm_flops, &sparse_));
       }
       flops_ += mm_flops;
       gemm_flops_ += mm_flops;
@@ -386,16 +387,16 @@ Result<bool> KernelEvaluator::TrySddmm(NodeId node, const Block& mask,
   }
 
   vals->assign(static_cast<std::size_t>(mask.nnz()), 0.0);
-  std::int64_t span = 0;       // total element-level k width
-  std::int64_t kernel_flops = 0;  // kernel-layer charge, superseded below
+  std::int64_t span = 0;  // total element-level k width
   for (std::size_t idx = 0; idx < a_blocks.size(); ++idx) {
     SddmmAcc(mask.sparse(), a_blocks[idx], b_blocks[idx], vals,
-             &kernel_flops);
+             /*flops=*/nullptr, &sparse_);
     span += a_blocks[idx].cols();
   }
   // Charge exactly what the masked program would: 2·span per mask
-  // non-zero, all of it GEMM work.  (The kernel's own tally equals this;
-  // charging from `span` keeps the equivalence explicit.)
+  // non-zero, all of it GEMM work.  (The kernel's own tally, in
+  // sparse_counts(), equals this; charging from `span` keeps the
+  // equivalence explicit.)
   flops_ += 2 * span * mask.nnz();
   gemm_flops_ += 2 * span * mask.nnz();
   return true;
@@ -510,7 +511,7 @@ Result<Block> KernelEvaluator::EvalMaskedMul(const Node& n, std::int64_t bi,
     // dense masks don't pay off): fall back to the block path.
     FUSEME_ASSIGN_OR_RETURN(Block lhs, Eval(n.inputs[0], bi, bj));
     FUSEME_ASSIGN_OR_RETURN(Block rhs, Eval(n.inputs[1], bi, bj));
-    return EwiseBinary(n.binary_fn, lhs, rhs, &flops_);
+    return EwiseBinary(n.binary_fn, lhs, rhs, &flops_, &sparse_);
   }
 
   std::vector<double> others;

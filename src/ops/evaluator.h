@@ -36,6 +36,7 @@
 #include "fusion/partial_plan.h"
 #include "fusion/sparsity_analysis.h"
 #include "matrix/block.h"
+#include "matrix/sparse_kernels.h"
 
 namespace fuseme {
 
@@ -93,9 +94,8 @@ class KernelEvaluator {
   /// Geometry of `node` under the evaluator's block size.
   NodeGrid Grid(NodeId node) const;
 
-  /// FLOPs executed since construction / the last ResetFlops.
+  /// FLOPs executed since construction.
   std::int64_t flops() const { return flops_; }
-  void ResetFlops() { flops_ = 0; }
 
   /// Matmul-kernel FLOPs — the GEMM subset of flops().
   std::int64_t gemm_flops() const { return gemm_flops_; }
@@ -104,6 +104,9 @@ class KernelEvaluator {
   /// densifying above it).
   std::int64_t sparse_to_dense_conversions() const { return sparse_to_dense_; }
   std::int64_t dense_to_sparse_conversions() const { return dense_to_sparse_; }
+  /// What the sparse kernels this evaluator called did (their own flops
+  /// tally, not the flops() charge).
+  const SparseKernelCounts& sparse_counts() const { return sparse_; }
 
   /// Drops memoized blocks (injected values are kept).
   void ClearCache();
@@ -150,6 +153,7 @@ class KernelEvaluator {
   std::int64_t gemm_flops_ = 0;
   std::int64_t sparse_to_dense_ = 0;
   std::int64_t dense_to_sparse_ = 0;
+  SparseKernelCounts sparse_;
 };
 
 }  // namespace fuseme

@@ -274,28 +274,6 @@ struct StageInstruments {
     return ins;
   }
 
-  /// Folds the stage's sparse-kernel activity in: `before` is the
-  /// process-wide snapshot taken when the stage started.  Stages execute
-  /// one at a time, so the delta is exactly this stage's work.
-  void FlushSparseKernels(const SparseKernelStats& before) const {
-    if (sparse_flops == nullptr) return;
-    const SparseKernelStats now = SparseKernelStatsSnapshot();
-    sparse_flops->Add(now.flops - before.flops);
-    sddmm_dots->Add(now.sddmm_dots - before.sddmm_dots);
-    sparse_parallel->Add(now.parallel_launches - before.parallel_launches);
-    spmm_sparse_dense_calls->Add(now.spmm_sparse_dense_calls -
-                                 before.spmm_sparse_dense_calls);
-    spmm_dense_sparse_calls->Add(now.spmm_dense_sparse_calls -
-                                 before.spmm_dense_sparse_calls);
-    spmm_sparse_sparse_calls->Add(now.spmm_sparse_sparse_calls -
-                                  before.spmm_sparse_sparse_calls);
-    transpose_spmm_calls->Add(now.transpose_spmm_calls -
-                              before.transpose_spmm_calls);
-    sddmm_calls->Add(now.sddmm_calls - before.sddmm_calls);
-    ewise_merge_join_calls->Add(now.ewise_merge_join_calls -
-                                before.ewise_merge_join_calls);
-  }
-
   /// Folds one kernel evaluator's counters in when a work item is done
   /// with it.
   void FlushEvaluator(const KernelEvaluator& eval) const {
@@ -304,6 +282,16 @@ struct StageInstruments {
     gemm_flops->Add(eval.gemm_flops());
     sparse_to_dense->Add(eval.sparse_to_dense_conversions());
     dense_to_sparse->Add(eval.dense_to_sparse_conversions());
+    const SparseKernelCounts& sparse = eval.sparse_counts();
+    sparse_flops->Add(sparse.flops);
+    sddmm_dots->Add(sparse.sddmm_dots);
+    sparse_parallel->Add(sparse.parallel_launches);
+    spmm_sparse_dense_calls->Add(sparse.spmm_sparse_dense_calls);
+    spmm_dense_sparse_calls->Add(sparse.spmm_dense_sparse_calls);
+    spmm_sparse_sparse_calls->Add(sparse.spmm_sparse_sparse_calls);
+    transpose_spmm_calls->Add(sparse.transpose_spmm_calls);
+    sddmm_calls->Add(sparse.sddmm_calls);
+    ewise_merge_join_calls->Add(sparse.ewise_merge_join_calls);
   }
 
   /// Records an emitted output block's density.
@@ -312,21 +300,6 @@ struct StageInstruments {
     output_nnz->Add(block.nnz());
     output_cells->Add(block.rows() * block.cols());
   }
-};
-
-/// Scopes one stage's sparse-kernel activity: snapshots the process-wide
-/// counters at construction and feeds the delta to the metric families at
-/// destruction (any exit path).  Stages execute one at a time, so deltas
-/// never interleave.
-struct SparseKernelFlushGuard {
-  explicit SparseKernelFlushGuard(const StageInstruments& instruments)
-      : ins(instruments), before(SparseKernelStatsSnapshot()) {}
-  ~SparseKernelFlushGuard() { ins.FlushSparseKernels(before); }
-  SparseKernelFlushGuard(const SparseKernelFlushGuard&) = delete;
-  SparseKernelFlushGuard& operator=(const SparseKernelFlushGuard&) = delete;
-
-  const StageInstruments& ins;
-  SparseKernelStats before;
 };
 
 /// Names the calling thread in the trace by its role: a pool worker or the
@@ -591,7 +564,6 @@ Result<DistributedMatrix> CuboidFusedOperator::Execute(
   const bool real_inputs = AllInputsReal(inputs);
   const int threads = real_inputs ? ctx->Parallelism() : 1;
   const StageInstruments ins = StageInstruments::Resolve(ctx->metrics());
-  SparseKernelFlushGuard sparse_guard(ins);
 
   auto task_id = [&](std::int64_t p, std::int64_t q, std::int64_t r) {
     return static_cast<int>((p * eff_q + q) * eff_r + r);
@@ -840,7 +812,6 @@ Result<DistributedMatrix> BroadcastFusedOperator::Execute(
   const bool real_inputs = AllInputsReal(inputs);
   const int threads = real_inputs ? ctx->Parallelism() : 1;
   const StageInstruments ins = StageInstruments::Resolve(ctx->metrics());
-  SparseKernelFlushGuard sparse_guard(ins);
 
   // One work item per task: receive the broadcast side inputs, then
   // evaluate this task's round-robin share of the output grid, fetching

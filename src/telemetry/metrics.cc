@@ -4,10 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
-#include <limits>
-#include <map>
 #include <sstream>
 
 #include "common/json_util.h"
@@ -81,14 +78,6 @@ std::vector<double> DefaultTimeBoundaries() {
   return {1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0};
 }
 
-std::vector<double> DefaultByteBoundaries() {
-  std::vector<double> out;
-  for (double b = 1024.0; b <= 17.0 * 1024 * 1024 * 1024; b *= 4.0) {
-    out.push_back(b);
-  }
-  return out;
-}
-
 namespace {
 
 MetricLabels Canonicalize(MetricLabels labels) {
@@ -112,7 +101,7 @@ std::string InstrumentKey(std::string_view name, const MetricLabels& labels) {
 }
 
 /// Shortest decimal form that strtod parses back to exactly `v` (finite
-/// values only), so text and JSON exports round-trip bit-exactly.
+/// values only), so JSON exports round-trip bit-exactly.
 std::string FormatDouble(double v) {
   char buf[64];
   for (int precision = 15; precision <= 17; ++precision) {
@@ -120,49 +109,6 @@ std::string FormatDouble(double v) {
     if (std::strtod(buf, nullptr) == v) break;
   }
   return buf;
-}
-
-std::string PrometheusEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '\\' || c == '"') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-/// Renders `{k="v",...}` (or "" when empty), optionally appending one
-/// extra label — used for the histogram `le` series.
-std::string RenderLabels(const MetricLabels& labels,
-                         const char* extra_key = nullptr,
-                         const std::string& extra_value = {}) {
-  if (labels.empty() && extra_key == nullptr) return {};
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [key, value] : labels) {
-    if (!first) out += ',';
-    first = false;
-    out += key;
-    out += "=\"";
-    out += PrometheusEscape(value);
-    out += '"';
-  }
-  if (extra_key != nullptr) {
-    if (!first) out += ',';
-    out += extra_key;
-    out += "=\"";
-    out += PrometheusEscape(extra_value);
-    out += '"';
-  }
-  out += '}';
-  return out;
 }
 
 const char* KindName(MetricKind kind) {
@@ -287,61 +233,6 @@ std::int64_t MetricsSnapshot::CounterTotal(std::string_view name) const {
     }
   }
   return total;
-}
-
-std::string MetricsSnapshot::ToPrometheusText() const {
-  std::ostringstream out;
-  // Samples are sorted by name, so each family is one contiguous run.
-  for (std::size_t i = 0; i < samples.size();) {
-    std::size_t end = i;
-    while (end < samples.size() && samples[end].name == samples[i].name) {
-      ++end;
-    }
-    const std::string& name = samples[i].name;
-    out << "# TYPE " << name << ' ' << KindName(samples[i].kind) << '\n';
-    switch (samples[i].kind) {
-      case MetricKind::kCounter:
-        for (std::size_t s = i; s < end; ++s) {
-          out << name << RenderLabels(samples[s].labels) << ' '
-              << samples[s].counter_value << '\n';
-        }
-        break;
-      case MetricKind::kGauge:
-        for (std::size_t s = i; s < end; ++s) {
-          out << name << RenderLabels(samples[s].labels) << ' '
-              << FormatDouble(samples[s].gauge_value) << '\n';
-        }
-        out << "# TYPE " << name << "_peak gauge\n";
-        for (std::size_t s = i; s < end; ++s) {
-          out << name << "_peak" << RenderLabels(samples[s].labels) << ' '
-              << FormatDouble(samples[s].gauge_peak) << '\n';
-        }
-        break;
-      case MetricKind::kHistogram:
-        for (std::size_t s = i; s < end; ++s) {
-          const MetricSample& sample = samples[s];
-          std::int64_t cumulative = 0;
-          for (std::size_t b = 0; b < sample.boundaries.size(); ++b) {
-            cumulative += sample.bucket_counts[b];
-            out << name << "_bucket"
-                << RenderLabels(sample.labels, "le",
-                                FormatDouble(sample.boundaries[b]))
-                << ' ' << cumulative << '\n';
-          }
-          cumulative += sample.bucket_counts.back();
-          out << name << "_bucket"
-              << RenderLabels(sample.labels, "le", "+Inf") << ' ' << cumulative
-              << '\n';
-          out << name << "_sum" << RenderLabels(sample.labels) << ' '
-              << FormatDouble(sample.histogram_sum) << '\n';
-          out << name << "_count" << RenderLabels(sample.labels) << ' '
-              << cumulative << '\n';
-        }
-        break;
-    }
-    i = end;
-  }
-  return out.str();
 }
 
 std::string MetricsSnapshot::ToJson() const {
@@ -494,213 +385,14 @@ Result<MetricsSnapshot> ParseMetricsJson(const std::string& json) {
   return snapshot;
 }
 
-namespace {
-
-Status TextError(std::size_t line_number, const std::string& message) {
-  return Status::InvalidArgument("prometheus text line " +
-                                 std::to_string(line_number) + ": " + message);
-}
-
-bool IsNameStart(char c) {
-  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' ||
-         c == ':';
-}
-
-bool IsNameChar(char c) { return IsNameStart(c) || (c >= '0' && c <= '9'); }
-
-}  // namespace
-
-Status ValidatePrometheusText(const std::string& text) {
-  std::map<std::string, std::string> declared;  // family name -> type
-  // Bucket series keyed by name + labels-without-le, in file order.
-  struct BucketSeries {
-    std::vector<std::pair<double, double>> entries;  // (le, cumulative)
-  };
-  std::map<std::string, BucketSeries> bucket_series;
-  std::map<std::string, double> count_values;  // same key as bucket_series
-
-  std::istringstream lines(text);
-  std::string line;
-  std::size_t line_number = 0;
-  while (std::getline(lines, line)) {
-    ++line_number;
-    if (line.empty()) continue;
-    if (line[0] == '#') {
-      std::istringstream comment(line);
-      std::string hash, directive, name, type;
-      comment >> hash >> directive;
-      if (directive == "TYPE") {
-        if (!(comment >> name >> type)) {
-          return TextError(line_number, "malformed # TYPE");
-        }
-        if (type != "counter" && type != "gauge" && type != "histogram") {
-          return TextError(line_number, "unknown type '" + type + "'");
-        }
-        if (!declared.emplace(name, type).second) {
-          return TextError(line_number, "duplicate # TYPE for '" + name + "'");
-        }
-      }
-      continue;  // HELP and other comments pass through
-    }
-
-    // Sample line: name[{labels}] value
-    std::size_t pos = 0;
-    if (!IsNameStart(line[pos])) {
-      return TextError(line_number, "bad metric name start");
-    }
-    while (pos < line.size() && IsNameChar(line[pos])) ++pos;
-    const std::string name = line.substr(0, pos);
-
-    MetricLabels labels;
-    if (pos < line.size() && line[pos] == '{') {
-      ++pos;
-      while (pos < line.size() && line[pos] != '}') {
-        std::size_t key_start = pos;
-        while (pos < line.size() && IsNameChar(line[pos])) ++pos;
-        if (pos == key_start || pos >= line.size() || line[pos] != '=') {
-          return TextError(line_number, "malformed label key");
-        }
-        const std::string key = line.substr(key_start, pos - key_start);
-        ++pos;  // '='
-        if (pos >= line.size() || line[pos] != '"') {
-          return TextError(line_number, "label value must be quoted");
-        }
-        ++pos;
-        std::string value;
-        while (pos < line.size() && line[pos] != '"') {
-          if (line[pos] == '\\') {
-            if (pos + 1 >= line.size()) {
-              return TextError(line_number, "truncated label escape");
-            }
-            const char esc = line[pos + 1];
-            if (esc == '\\' || esc == '"') {
-              value += esc;
-            } else if (esc == 'n') {
-              value += '\n';
-            } else {
-              return TextError(line_number, "unknown label escape");
-            }
-            pos += 2;
-          } else {
-            value += line[pos++];
-          }
-        }
-        if (pos >= line.size()) {
-          return TextError(line_number, "unterminated label value");
-        }
-        ++pos;  // closing '"'
-        labels.emplace_back(key, value);
-        if (pos < line.size() && line[pos] == ',') ++pos;
-      }
-      if (pos >= line.size() || line[pos] != '}') {
-        return TextError(line_number, "unterminated label set");
-      }
-      ++pos;
-    }
-
-    if (pos >= line.size() || line[pos] != ' ') {
-      return TextError(line_number, "expected space before value");
-    }
-    ++pos;
-    const std::string value_text = line.substr(pos);
-    double value = 0;
-    if (value_text == "+Inf") {
-      value = std::numeric_limits<double>::infinity();
-    } else if (value_text == "-Inf") {
-      value = -std::numeric_limits<double>::infinity();
-    } else if (value_text == "NaN") {
-      value = std::numeric_limits<double>::quiet_NaN();
-    } else {
-      char* end = nullptr;
-      value = std::strtod(value_text.c_str(), &end);
-      if (end == value_text.c_str() || *end != '\0') {
-        return TextError(line_number, "bad sample value '" + value_text + "'");
-      }
-    }
-
-    // The sample must refer to a declared family: either directly, or as
-    // a _bucket/_sum/_count series of a declared histogram.
-    std::string base = name;
-    std::string suffix;
-    for (const char* candidate : {"_bucket", "_sum", "_count"}) {
-      const std::size_t len = std::strlen(candidate);
-      if (name.size() > len &&
-          name.compare(name.size() - len, len, candidate) == 0) {
-        const std::string stripped = name.substr(0, name.size() - len);
-        auto it = declared.find(stripped);
-        if (it != declared.end() && it->second == "histogram") {
-          base = stripped;
-          suffix = candidate;
-          break;
-        }
-      }
-    }
-    const auto decl = declared.find(base);
-    if (decl == declared.end()) {
-      return TextError(line_number, "sample '" + name + "' has no # TYPE");
-    }
-    if (decl->second == "histogram") {
-      if (suffix.empty()) {
-        return TextError(line_number,
-                         "histogram '" + base +
-                             "' sampled without _bucket/_sum/_count");
-      }
-      double le = 0;
-      MetricLabels series_labels;
-      bool have_le = false;
-      for (const auto& [key, label_value] : labels) {
-        if (key == "le") {
-          have_le = true;
-          le = label_value == "+Inf"
-                   ? std::numeric_limits<double>::infinity()
-                   : std::strtod(label_value.c_str(), nullptr);
-        } else {
-          series_labels.emplace_back(key, label_value);
-        }
-      }
-      std::string series_key = InstrumentKey(base, series_labels);
-      if (suffix == "_bucket") {
-        if (!have_le) {
-          return TextError(line_number, "_bucket line missing le label");
-        }
-        bucket_series[series_key].entries.emplace_back(le, value);
-      } else if (suffix == "_count") {
-        count_values[series_key] = value;
-      }
-    }
-  }
-
-  for (const auto& [series_key, series] : bucket_series) {
-    const auto& entries = series.entries;
-    for (std::size_t i = 1; i < entries.size(); ++i) {
-      if (!(entries[i - 1].first < entries[i].first)) {
-        return Status::InvalidArgument(
-            "prometheus text: le labels not increasing in a bucket series");
-      }
-      if (entries[i].second < entries[i - 1].second) {
-        return Status::InvalidArgument(
-            "prometheus text: bucket counts not cumulative");
-      }
-    }
-    if (entries.empty() ||
-        !std::isinf(entries.back().first)) {
-      return Status::InvalidArgument(
-          "prometheus text: bucket series does not end at le=\"+Inf\"");
-    }
-    const auto count_it = count_values.find(series_key);
-    if (count_it != count_values.end() &&
-        count_it->second != entries.back().second) {
-      return Status::InvalidArgument(
-          "prometheus text: _count disagrees with the +Inf bucket");
-    }
-  }
-  return Status::OK();
-}
-
 Status CheckMetricsConsistency(const MetricsSnapshot& snapshot) {
   for (const MetricSample& sample : snapshot.samples) {
-    const std::string where =
-        "metric '" + sample.name + RenderLabels(sample.labels) + "'";
+    std::string where = "metric '" + sample.name;
+    for (std::size_t l = 0; l < sample.labels.size(); ++l) {
+      where += (l == 0 ? "{" : ",") + sample.labels[l].first + "=\"" +
+               sample.labels[l].second + '"';
+    }
+    where += sample.labels.empty() ? "'" : "}'";
     switch (sample.kind) {
       case MetricKind::kCounter:
         if (sample.counter_value < 0) {

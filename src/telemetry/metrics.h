@@ -15,8 +15,8 @@
 // instrumentation at the price of one pointer test.
 //
 // Snapshot() returns a consistent-enough copy (each atom read once,
-// relaxed) that exports to Prometheus text exposition and to JSON, the
-// latter with a round-trip parser for tests and tooling.
+// relaxed) that exports to JSON, with a round-trip parser for tests and
+// tooling.
 
 #ifndef FUSEME_TELEMETRY_METRICS_H_
 #define FUSEME_TELEMETRY_METRICS_H_
@@ -104,11 +104,9 @@ class Histogram {
   std::atomic<double> sum_{0.0};
 };
 
-/// Histogram boundaries for wall-time observations in seconds: ten
-/// decades from 1 microsecond to 10 seconds.
+/// Histogram boundaries for wall-time observations in seconds: eight
+/// decade boundaries from 1 microsecond to 10 seconds.
 std::vector<double> DefaultTimeBoundaries();
-/// Histogram boundaries for byte counts: 1 KiB to 16 GiB by powers of 4.
-std::vector<double> DefaultByteBoundaries();
 
 enum class MetricKind { kCounter, kGauge, kHistogram };
 
@@ -139,10 +137,6 @@ struct MetricsSnapshot {
   /// Sum of counter values across every sample of the family `name`.
   [[nodiscard]] std::int64_t CounterTotal(std::string_view name) const;
 
-  /// Prometheus text exposition format (# TYPE comments, cumulative
-  /// _bucket{le=...} histogram lines ending at +Inf, gauges emit a
-  /// companion <name>_peak series).
-  [[nodiscard]] std::string ToPrometheusText() const;
   /// JSON export; ParseMetricsJson is the exact inverse.
   [[nodiscard]] std::string ToJson() const;
 
@@ -152,12 +146,6 @@ struct MetricsSnapshot {
 /// Parses MetricsSnapshot::ToJson output back (round-trip tests, bench
 /// tooling that embeds snapshots).
 Result<MetricsSnapshot> ParseMetricsJson(const std::string& json);
-
-/// Small format checker for the Prometheus text exposition: every sample
-/// line parses, refers to a preceding # TYPE declaration, and histogram
-/// bucket series are cumulative and end at +Inf.  Used by the
-/// metrics_report smoke step so exposition regressions fail the gate.
-[[nodiscard]] Status ValidatePrometheusText(const std::string& text);
 
 /// Structural invariants every live registry maintains: counters >= 0,
 /// gauge peak >= current value, histogram count equals the sum of its

@@ -276,6 +276,27 @@ TEST(FaultToleranceTest, ExhaustedLadderSurfacesTheOriginalOom) {
   EXPECT_TRUE(degrading.outputs.empty());
 }
 
+TEST(FaultToleranceTest, LadderTriesBelowTheFailedCuboidBeforeGivingUp) {
+  // At 2,500 B the ladder climbs BFO -> CFO -> a finer CFO cuboid that
+  // still overruns (MemEst underestimates the measured peak); halving the
+  // modeled budget again admits no cuboid at all.  A search just below
+  // the failed cuboid's MemEst finds one that fits, so the cell completes
+  // with the single-node answer instead of reporting O.O.M.
+  NmfCell cell;
+  EngineOptions options = Options(SystemMode::kFuseMe);
+  options.cluster.task_memory_budget = 2500;
+  options.recovery.degrade_on_oom = true;
+  const Engine::RunResult run = cell.Run(options, OperatorKind::kBfo);
+  ASSERT_TRUE(run.ok()) << run.status();
+  ASSERT_GE(run.report.degradations.size(), 3u);
+  EXPECT_EQ(run.report.degradations.back().to.rfind("CFO", 0), 0u);
+  EXPECT_LE(run.report.max_task_memory, options.cluster.task_memory_budget);
+  EXPECT_LE(DenseMatrix::MaxAbsDiff(
+                run.outputs.at(cell.q.mul).blocks().ToDense(),
+                cell.Expected()),
+            1e-9);
+}
+
 TEST(FaultToleranceTest, MetricsAndJournalCountDegradationRungs) {
   NmfCell cell;
   MetricsRegistry metrics;

@@ -185,10 +185,9 @@ TEST(SparseKernelsTest, SpmmSparseDenseSerialParallelBitwiseIdentical) {
   }
   {
     PoolGuard guard(4);
-    SparseKernelStats before = SparseKernelStatsSnapshot();
-    SpmmAccSparseDense(&parallel, a, b, nullptr);
-    SparseKernelStats after = SparseKernelStatsSnapshot();
-    EXPECT_EQ(after.parallel_launches - before.parallel_launches, 1);
+    SparseKernelCounts counts;
+    SpmmAccSparseDense(&parallel, a, b, nullptr, &counts);
+    EXPECT_EQ(counts.parallel_launches, 1);
   }
   EXPECT_TRUE(BitwiseEqual(serial, parallel));
 }
@@ -260,12 +259,11 @@ TEST(SparseKernelsTest, SmallKernelsStayInline) {
   SparseMatrix a = RandomSparse(128, 64, 0.1, /*seed=*/241, 0.5, 2.0);
   DenseMatrix b = RandomDense(64, 8, /*seed=*/242, 0.5, 2.0);
   DenseMatrix acc(128, 8);
-  SparseKernelStats before = SparseKernelStatsSnapshot();
-  SpmmAccSparseDense(&acc, a, b, nullptr);
-  SparseKernelStats after = SparseKernelStatsSnapshot();
-  EXPECT_EQ(after.parallel_launches, before.parallel_launches);
-  EXPECT_EQ(after.spmm_sparse_dense_calls - before.spmm_sparse_dense_calls,
-            1);
+  SparseKernelCounts counts;
+  SpmmAccSparseDense(&acc, a, b, nullptr, &counts);
+  EXPECT_EQ(counts.parallel_launches, 0);
+  EXPECT_EQ(counts.spmm_sparse_dense_calls, 1);
+  EXPECT_EQ(counts.flops, 2 * a.nnz() * b.cols());
 }
 
 // ---------------------------------------------------------------------------
@@ -278,13 +276,13 @@ TEST(SparseKernelsTest, BothSparseEwiseMulUsesMergeJoin) {
   SparseMatrix sb = RandomSparse(200, 200, 0.001, /*seed=*/252, 0.5, 2.0);
   Block a = Block::FromSparse(sa);
   Block b = Block::FromSparse(sb);
-  SparseKernelStats before = SparseKernelStatsSnapshot();
+  SparseKernelCounts counts;
   std::int64_t flops = 0;
-  auto result = EwiseBinary(BinaryFn::kMul, a, b, &flops);
+  auto result = EwiseBinary(BinaryFn::kMul, a, b, &flops, &counts);
   ASSERT_TRUE(result.ok()) << result.status();
-  SparseKernelStats after = SparseKernelStatsSnapshot();
-  EXPECT_EQ(after.ewise_merge_join_calls - before.ewise_merge_join_calls, 1);
+  EXPECT_EQ(counts.ewise_merge_join_calls, 1);
   EXPECT_EQ(flops, std::min(sa.nnz(), sb.nnz()));
+  EXPECT_EQ(counts.flops, flops);
 
   DenseMatrix da = sa.ToDense(), db = sb.ToDense();
   DenseMatrix expected(200, 200);
@@ -306,20 +304,22 @@ TEST(SparseKernelsTest, MatMulAccRoutesThroughSparseKernels) {
   Block bs = Block::FromSparse(s);
   Block bs2 = Block::FromSparse(s2);
 
-  SparseKernelStats before = SparseKernelStatsSnapshot();
-  DenseMatrix acc1(48, 32);
-  ASSERT_TRUE(MatMulAcc(&acc1, bd, bs).ok());  // dense × sparse
+  SparseKernelCounts counts;
+  std::int64_t flops = 0;
+  DenseMatrix acc1(48, 32);  // dense × sparse
+  ASSERT_TRUE(MatMulAcc(&acc1, bd, bs, &flops, &counts).ok());
   DenseMatrix acc2(48, 32);
-  ASSERT_TRUE(MatMulAcc(&acc2, bs2, Block::FromDense(s.ToDense())).ok());
-  DenseMatrix acc3(48, 32);
-  ASSERT_TRUE(MatMulAcc(&acc3, bs2, bs).ok());  // sparse × sparse
-  SparseKernelStats after = SparseKernelStatsSnapshot();
-  EXPECT_EQ(after.spmm_dense_sparse_calls - before.spmm_dense_sparse_calls,
-            1);
-  EXPECT_EQ(after.spmm_sparse_dense_calls - before.spmm_sparse_dense_calls,
-            1);
-  EXPECT_EQ(after.spmm_sparse_sparse_calls - before.spmm_sparse_sparse_calls,
-            1);
+  ASSERT_TRUE(MatMulAcc(&acc2, bs2, Block::FromDense(s.ToDense()), &flops,
+                        &counts)
+                  .ok());
+  DenseMatrix acc3(48, 32);  // sparse × sparse
+  ASSERT_TRUE(MatMulAcc(&acc3, bs2, bs, &flops, &counts).ok());
+  EXPECT_EQ(counts.spmm_dense_sparse_calls, 1);
+  EXPECT_EQ(counts.spmm_sparse_dense_calls, 1);
+  EXPECT_EQ(counts.spmm_sparse_sparse_calls, 1);
+  // Every one of the three products ran in a sparse kernel, so the kernel
+  // tally and the caller's flops agree.
+  EXPECT_EQ(counts.flops, flops);
 
   // All three agree with the dense reference.
   DenseMatrix expected = RefMatMul(s2.ToDense(), s.ToDense());

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/logging.h"
@@ -13,6 +14,8 @@
 #include "compile_execute.h"
 #include "engine/engine.h"
 #include "matrix/generators.h"
+#include "telemetry/event_journal.h"
+#include "telemetry/event_names.h"
 #include "telemetry/metric_names.h"
 #include "workloads/queries.h"
 
@@ -119,42 +122,6 @@ MetricsSnapshot PopulatedSnapshot() {
   // A value that needs shortest-round-trip formatting to survive.
   registry.GetGauge("fuseme_ratio")->Set(0.1 + 0.2);
   return registry.Snapshot();
-}
-
-TEST(MetricsTest, PrometheusExportValidates) {
-  const MetricsSnapshot snap = PopulatedSnapshot();
-  const std::string text = snap.ToPrometheusText();
-  EXPECT_NE(text.find("# TYPE fuseme_events_total counter"),
-            std::string::npos);
-  EXPECT_NE(text.find("fuseme_bytes_total{cause=\"shuffle\"} 1048576"),
-            std::string::npos);
-  EXPECT_NE(text.find("# TYPE fuseme_depth gauge"), std::string::npos);
-  EXPECT_NE(text.find("fuseme_depth_peak 5.25"), std::string::npos);
-  EXPECT_NE(text.find("fuseme_wait_seconds_bucket{le=\"+Inf\"} 3"),
-            std::string::npos);
-  EXPECT_NE(text.find("fuseme_wait_seconds_count 3"), std::string::npos);
-  ASSERT_TRUE(ValidatePrometheusText(text).ok())
-      << ValidatePrometheusText(text).ToString();
-}
-
-TEST(MetricsTest, PrometheusValidatorRejectsBrokenText) {
-  // Sample without a preceding # TYPE declaration.
-  EXPECT_FALSE(ValidatePrometheusText("fuseme_orphan_total 1\n").ok());
-  // Histogram whose bucket series is not cumulative.
-  const std::string bad =
-      "# TYPE fuseme_h histogram\n"
-      "fuseme_h_bucket{le=\"1\"} 5\n"
-      "fuseme_h_bucket{le=\"+Inf\"} 3\n"
-      "fuseme_h_sum 1\n"
-      "fuseme_h_count 3\n";
-  EXPECT_FALSE(ValidatePrometheusText(bad).ok());
-  // Bucket series that never reaches +Inf.
-  const std::string no_inf =
-      "# TYPE fuseme_h histogram\n"
-      "fuseme_h_bucket{le=\"1\"} 5\n"
-      "fuseme_h_sum 1\n"
-      "fuseme_h_count 5\n";
-  EXPECT_FALSE(ValidatePrometheusText(no_inf).ok());
 }
 
 TEST(MetricsTest, JsonRoundTripsExactly) {
@@ -357,6 +324,93 @@ TEST(MetricsEngineTest, RealRunPopulatesPipelineFamilies) {
   EXPECT_GT(snap.CounterTotal(metric_names::kKernelOutputCells), 0);
   EXPECT_LE(snap.CounterTotal(metric_names::kKernelOutputNnz),
             snap.CounterTotal(metric_names::kKernelOutputCells));
+}
+
+/// The sparse-kernel counters (fuseme_kernel_sparse_*,
+/// fuseme_kernel_sddmm_dots_total) of `snap`, keyed by name and labels.
+std::map<std::string, std::int64_t> SparseKernelCounters(
+    const MetricsSnapshot& snap) {
+  std::map<std::string, std::int64_t> out;
+  for (const MetricSample& sample : snap.samples) {
+    if (sample.name == metric_names::kKernelSparseCalls ||
+        sample.name == metric_names::kKernelSparseFlops ||
+        sample.name == metric_names::kKernelSddmmDots ||
+        sample.name == metric_names::kKernelSparseParallel) {
+      std::string key = sample.name;
+      for (const auto& [label, value] : sample.labels) {
+        key += " " + label + "=" + value;
+      }
+      out[key] = sample.counter_value;
+    }
+  }
+  return out;
+}
+
+TEST(MetricsEngineTest, ConcurrentEnginesCountOnlyTheirOwnKernels) {
+  // Two engines with their own registries run GNMF at the same time on
+  // two threads: each registry's sparse-kernel families must hold exactly
+  // its own engine's work, i.e. what a solo run of the same runs records.
+  constexpr int kRuns = 20;
+  GnmfQuery q = BuildGnmf(64, 64, 16, 64 * 64 / 10);
+  std::map<NodeId, BlockedMatrix> inputs;
+  inputs[q.X] = RandomSparseBlocked(64, 64, 0.1, 16, /*seed=*/1, 1.0, 5.0);
+  inputs[q.U] = RandomDenseBlocked(16, 64, 16, /*seed=*/2, 0.5, 1.5);
+  inputs[q.V] = RandomDenseBlocked(64, 16, 16, /*seed=*/3, 0.5, 1.5);
+  auto run_all = [&](MetricsRegistry* registry) {
+    const Engine engine = MakeEngine(registry, /*analytic=*/false);
+    Result<CompiledPlan> plan = engine.Compile(q.dag);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    for (int i = 0; i < kRuns; ++i) {
+      const Engine::RunResult run = engine.Execute(*plan, inputs);
+      ASSERT_TRUE(run.ok()) << run.status();
+    }
+  };
+
+  MetricsRegistry solo;
+  run_all(&solo);
+  const std::map<std::string, std::int64_t> expected =
+      SparseKernelCounters(solo.Snapshot());
+  ASSERT_GT(solo.Snapshot().CounterTotal(metric_names::kKernelSparseCalls), 0)
+      << "the workload no longer reaches the sparse kernels";
+
+  MetricsRegistry left, right;
+  std::thread left_thread([&] { run_all(&left); });
+  std::thread right_thread([&] { run_all(&right); });
+  left_thread.join();
+  right_thread.join();
+  EXPECT_EQ(SparseKernelCounters(left.Snapshot()), expected);
+  EXPECT_EQ(SparseKernelCounters(right.Snapshot()), expected);
+}
+
+TEST(MetricsEngineTest, VerificationFailureCountsAsAnErrorRun) {
+  // An Execute that stops at plan verification is still one run: the
+  // runs counter and the journal's run-finish event both record it.
+  GnmfQuery q = BuildGnmf(4000, 1800, 200, /*x_nnz=*/400000);
+  MetricsRegistry registry;
+  EngineOptions options;
+  options.analytic = true;
+  options.metrics = &registry;
+  options.observability.journal_capacity = 64;
+  const Engine engine = MakeEngine(options);
+  const FusionPlanSet plans = engine.MakePlans(q.dag);
+  // Corrupt the inferred shape of the U-side main matmul after planning.
+  q.dag.mutable_node_for_test(q.a1)->rows = 12345;
+  const Engine::RunResult run = CompileAndExecute(engine, q.dag, plans, {});
+  ASSERT_EQ(run.report.status.code(), StatusCode::kInternal)
+      << run.report.status.ToString();
+  ASSERT_FALSE(run.report.verifier_diagnostics.empty());
+
+  const MetricsSnapshot snap = registry.Snapshot();
+  const MetricSample* errors =
+      snap.Find(metric_names::kEngineRuns, {{"status", "error"}});
+  ASSERT_NE(errors, nullptr);
+  EXPECT_EQ(errors->counter_value, 1);
+  EXPECT_EQ(snap.CounterTotal(metric_names::kEngineRuns), 1);
+  int finishes = 0;
+  for (const JournalEvent& e : engine.journal()->Snapshot()) {
+    if (e.id == event_names::kRunFinish) ++finishes;
+  }
+  EXPECT_EQ(finishes, 1);
 }
 
 TEST(MetricsEngineTest, WorkloadSweepKeepsRegistryConsistent) {

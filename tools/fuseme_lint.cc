@@ -4,7 +4,7 @@
 // clang-tidy cannot express because they span files or name repo-local
 // conventions.  It does line/token-based scanning (a mini-lexer strips
 // comments and string literals; no libclang), in the same spirit as the
-// ValidatePrometheusText checker in the telemetry layer.
+// hand-written JSON readers in the telemetry layer.
 //
 // Rules (stable ids, referenced from DESIGN.md section 16):
 //
