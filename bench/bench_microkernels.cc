@@ -4,10 +4,11 @@
 // masked (sparsity-exploiting) path vs the dense path.
 //
 // Before the google-benchmark cases, main() runs a serial-vs-parallel GEMM
-// suite (the dense kernel at 1 thread vs the machine's parallelism) and a
-// per-variant suite (each supported ISA's kernel at the workloads' shapes),
-// verifies the results are bitwise identical, and writes the measurements
-// to BENCH_microkernels.json.
+// suite (the dense kernel at 1 thread vs the machine's parallelism) and
+// per-variant suites (each supported ISA's dense GEMM at the workloads'
+// shapes, and its two SpMM orientations and dense non-zero count at
+// gnmf_step's block shapes), verifies the results are bitwise identical,
+// and writes the measurements to BENCH_microkernels.json.
 
 #include <benchmark/benchmark.h>
 
@@ -15,12 +16,14 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 
 #include "bench_util.h"
 #include "common/thread_pool.h"
 #include "matrix/block_ops.h"
 #include "matrix/gemm_kernel.h"
 #include "matrix/generators.h"
+#include "matrix/sparse_kernels.h"
 #include "ops/evaluator.h"
 #include "telemetry/metric_names.h"
 #include "telemetry/metrics.h"
@@ -310,6 +313,120 @@ void RunGemmVariantSuite(std::vector<bench::BenchRecord>* records) {
   SetGlobalThreadPoolThreads(machine);
 }
 
+// --- Per-variant SpMM kernels and non-zero count at gnmf_step's shapes. ---
+//
+// gnmf_step multiplies 512×512 blocks of its 1%-dense X with 512×128 and
+// 128×512 factor blocks, and counts the non-zeros of every dense result
+// block.  Each supported variant runs single-threaded, `reps` times into
+// one accumulator (so every variant's final output sees the same
+// sequence of adds); the best repetition is reported, and every variant's
+// output must equal the portable loop's bit for bit — the suite exits
+// non-zero otherwise.
+
+template <typename Kernel>
+double BestOfReps(int reps, Kernel kernel) {
+  double best = 1e30;
+  for (int rep = 0; rep < reps; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    kernel();
+    const auto t1 = std::chrono::steady_clock::now();
+    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
+  }
+  return best;
+}
+
+void RunSparseVariantSuite(std::vector<bench::BenchRecord>* records) {
+  const int machine = GlobalParallelism();
+  SetGlobalThreadPoolThreads(1);
+  const SparseMatrix x = RandomSparse(512, 512, 0.01, 41, -1.0, 1.0);
+  const DenseMatrix w = RandomDense(512, 128, 42, -1.0, 1.0);
+  const DenseMatrix h = RandomDense(128, 512, 43, -1.0, 1.0);
+  DenseMatrix counted = RandomDense(512, 128, 44, -1.0, 1.0);
+  for (std::int64_t i = 0; i < counted.size(); i += 7) {
+    counted.data()[i] = i % 2 ? -0.0 : 0.0;
+  }
+
+  struct Row {
+    const char* kernel;
+    const char* shape;
+    std::int64_t flops;  // for CountNonZeros: cells compared
+    std::int64_t bytes;
+    // Runs the kernel with `variant` `reps` times and returns the best
+    // repetition's seconds; the output goes to *out.
+    std::function<double(GemmVariant, int, std::vector<double>*)> run;
+  };
+  const Row rows[] = {
+      {"spmm_sparse_dense", "512x512(1%)x128", 2 * x.nnz() * w.cols(),
+       12 * x.nnz() + 8 * (w.size() + 2 * x.rows() * w.cols()),
+       [&](GemmVariant variant, int reps, std::vector<double>* out) {
+         DenseMatrix acc(x.rows(), w.cols());
+         const double best = BestOfReps(reps, [&] {
+           SpmmAccSparseDense(variant, &acc, x, w, nullptr);
+         });
+         out->assign(acc.data(), acc.data() + acc.size());
+         return best;
+       }},
+      {"spmm_dense_sparse", "128x512x512(1%)", 2 * h.rows() * x.nnz(),
+       12 * x.nnz() + 8 * (h.size() + 2 * h.rows() * x.cols()),
+       [&](GemmVariant variant, int reps, std::vector<double>* out) {
+         DenseMatrix acc(h.rows(), x.cols());
+         const double best = BestOfReps(reps, [&] {
+           SpmmAccDenseSparse(variant, &acc, h, x, nullptr);
+         });
+         out->assign(acc.data(), acc.data() + acc.size());
+         return best;
+       }},
+      {"count_nonzeros", "512x128", counted.size(), 8 * counted.size(),
+       [&](GemmVariant variant, int reps, std::vector<double>* out) {
+         std::int64_t nnz = 0;
+         const double best = BestOfReps(
+             reps, [&] { nnz = counted.CountNonZeros(variant); });
+         out->assign(1, static_cast<double>(nnz));
+         return best;
+       }},
+  };
+
+  std::printf("--- sparse kernels and nnz count per variant, 1 thread "
+              "(GFLOP/s; count: Gcell/s) ---\n");
+  std::printf("%-34s", "kernel shape");
+  for (GemmVariant variant : SupportedGemmVariants()) {
+    std::printf(" %10s", GemmVariantName(variant));
+  }
+  std::printf("\n");
+  for (const Row& row : rows) {
+    // Enough repetitions to cover ~20 ms of portable work.
+    const int reps = static_cast<int>(
+        std::clamp<std::int64_t>((std::int64_t{1} << 24) / row.flops, 3, 200));
+    std::printf("%-17s %-16s", row.kernel, row.shape);
+    std::vector<double> reference;
+    for (GemmVariant variant : SupportedGemmVariants()) {
+      std::vector<double> out;
+      const double seconds = row.run(variant, reps, &out);
+      if (variant == GemmVariant::kPortable) {
+        reference = out;
+      } else if (out.size() != reference.size() ||
+                 std::memcmp(out.data(), reference.data(),
+                             sizeof(double) * out.size()) != 0) {
+        std::fprintf(stderr, "FAIL: %s %s %s differs from portable\n",
+                     GemmVariantName(variant), row.kernel, row.shape);
+        std::exit(1);
+      }
+      std::printf(" %10.2f", static_cast<double>(row.flops) / seconds / 1e9);
+      records->push_back({row.kernel,
+                          {{"isa", GemmVariantName(variant)},
+                           {"shape", row.shape},
+                           {"threads", "1"}},
+                          seconds,
+                          row.bytes,
+                          row.flops});
+    }
+    std::printf("\n");
+  }
+  std::printf("(every variant bitwise identical to portable; a variant "
+              "with no vector version of a kernel runs its portable loop)\n\n");
+  SetGlobalThreadPoolThreads(machine);
+}
+
 }  // namespace
 }  // namespace fuseme
 
@@ -318,6 +435,7 @@ int main(int argc, char** argv) {
   fuseme::MetricsRegistry metrics;
   fuseme::RunGemmSpeedupSuite(&records, &metrics);
   fuseme::RunGemmVariantSuite(&records);
+  fuseme::RunSparseVariantSuite(&records);
   if (!fuseme::bench::WriteBenchJson("microkernels", records,
                                      metrics.Snapshot().ToJson())) {
     return 1;

@@ -10,6 +10,8 @@
 
 namespace fuseme {
 
+enum class GemmVariant;  // gemm_kernel.h
+
 /// Row-major dense matrix of doubles.  Copyable and movable; copies are deep.
 class DenseMatrix {
  public:
@@ -40,8 +42,11 @@ class DenseMatrix {
   const double* row(std::int64_t i) const { return data_.data() + i * cols_; }
   double* row(std::int64_t i) { return data_.data() + i * cols_; }
 
-  /// Number of stored non-zero elements (exact scan).
+  /// Number of elements that compare unequal to 0.0 (exact scan: NaN
+  /// counts, -0.0 does not), with the dispatched kernel variant.
   std::int64_t CountNonZeros() const;
+  /// The same count with `variant`, which must be supported on this host.
+  std::int64_t CountNonZeros(GemmVariant variant) const;
 
   /// Fills every element with `value`.
   void Fill(double value);

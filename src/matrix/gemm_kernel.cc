@@ -10,11 +10,8 @@
 #include "common/logging.h"
 #include "common/thread_pool.h"
 
-#if defined(__x86_64__) && defined(__GNUC__)
-#define FUSEME_GEMM_X86 1
+#if FUSEME_KERNELS_X86
 #include <immintrin.h>
-#else
-#define FUSEME_GEMM_X86 0
 #endif
 
 namespace fuseme {
@@ -44,7 +41,7 @@ void PortableRowRange(DenseMatrix* acc, const DenseMatrix& da,
   }
 }
 
-#if FUSEME_GEMM_X86
+#if FUSEME_KERNELS_X86
 
 // One register tile: rows [0, R) × columns [0, w) of c, over k rows of b.
 // The tile is loaded once, updated for k ascending, and stored once.
@@ -217,17 +214,15 @@ __attribute__((target("avx2"))) void Avx2RowRange(DenseMatrix* acc,
   }
 }
 
-#endif  // FUSEME_GEMM_X86
+#endif  // FUSEME_KERNELS_X86
 
 using RowRangeFn = void (*)(DenseMatrix*, const DenseMatrix&,
                             const DenseMatrix&, std::int64_t, std::int64_t);
 
 RowRangeFn RowRangeFor(GemmVariant variant) {
-  FUSEME_CHECK(std::find(SupportedGemmVariants().begin(),
-                         SupportedGemmVariants().end(),
-                         variant) != SupportedGemmVariants().end());
+  FUSEME_CHECK(GemmVariantSupported(variant));
   switch (variant) {
-#if FUSEME_GEMM_X86
+#if FUSEME_KERNELS_X86
     case GemmVariant::kAvx512:
       return Avx512RowRange;
     case GemmVariant::kAvx2:
@@ -255,7 +250,7 @@ const char* GemmVariantName(GemmVariant variant) {
 const std::vector<GemmVariant>& SupportedGemmVariants() {
   static const std::vector<GemmVariant> variants = [] {
     std::vector<GemmVariant> out = {GemmVariant::kPortable};
-#if FUSEME_GEMM_X86
+#if FUSEME_KERNELS_X86
     __builtin_cpu_init();
     if (__builtin_cpu_supports("avx2")) out.push_back(GemmVariant::kAvx2);
     if (__builtin_cpu_supports("avx512f")) out.push_back(GemmVariant::kAvx512);
@@ -266,6 +261,12 @@ const std::vector<GemmVariant>& SupportedGemmVariants() {
 }
 
 GemmVariant DispatchedGemmVariant() { return SupportedGemmVariants().back(); }
+
+bool GemmVariantSupported(GemmVariant variant) {
+  const std::vector<GemmVariant>& supported = SupportedGemmVariants();
+  return std::find(supported.begin(), supported.end(), variant) !=
+         supported.end();
+}
 
 void DenseGemmAcc(GemmVariant variant, DenseMatrix* acc, const DenseMatrix& a,
                   const DenseMatrix& b) {

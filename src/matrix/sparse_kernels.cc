@@ -1,10 +1,20 @@
+// Built with -ffp-contract=off (src/matrix/CMakeLists.txt): the vector
+// SpMM variants must round every multiply and add on its own to stay
+// bitwise equal to the portable loops.
+
 #include "matrix/sparse_kernels.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
+#include <memory>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
+
+#if FUSEME_KERNELS_X86
+#include <immintrin.h>
+#endif
 
 namespace fuseme {
 
@@ -39,29 +49,284 @@ void ForRowSlabs(std::int64_t rows, std::int64_t est_flops,
   range(0, rows);
 }
 
+/// acc[i0:i1) += a[i0:i1) · b for CSR a: the portable row-axpy loop.
+void PortableSparseDenseRows(DenseMatrix* acc, const SparseMatrix& a,
+                             const DenseMatrix& b, std::int64_t i0,
+                             std::int64_t i1) {
+  const std::int64_t n = b.cols();
+  const auto& rp = a.row_ptr();
+  const auto& ci = a.col_idx();
+  const auto& vals = a.values();
+  for (std::int64_t i = i0; i < i1; ++i) {
+    double* out = acc->row(i);
+    for (std::int64_t p = rp[i]; p < rp[i + 1]; ++p) {
+      const double va = vals[p];
+      const double* b_row = b.row(ci[p]);
+      for (std::int64_t j = 0; j < n; ++j) out[j] += va * b_row[j];
+    }
+  }
+}
+
+/// acc[i0:i1) += a[i0:i1) · b for CSR b: the portable i-outer loop.
+void PortableDenseSparseRows(DenseMatrix* acc, const DenseMatrix& a,
+                             const SparseMatrix& b, std::int64_t i0,
+                             std::int64_t i1) {
+  const std::int64_t k = a.cols();
+  const auto& rp = b.row_ptr();
+  const auto& ci = b.col_idx();
+  const auto& vals = b.values();
+  for (std::int64_t i = i0; i < i1; ++i) {
+    double* out = acc->row(i);
+    const double* a_row = a.row(i);
+    // Zero a-entries are multiplied through, not skipped: skipping could
+    // flip a -0.0 accumulator to +0.0 or drop a NaN/Inf propagation,
+    // breaking bitwise parity with the k-outer formulation.
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      const double va = a_row[kk];
+      for (std::int64_t p = rp[kk]; p < rp[kk + 1]; ++p) {
+        out[ci[p]] += va * vals[p];
+      }
+    }
+  }
+}
+
+#if FUSEME_KERNELS_X86
+
+// ---- AVX-512 SpMM, CSR × dense: a register strip of the output row. ----
+
+// out[0, 8·V) += Σ_{p0 ≤ p < p1} vals[p] · b[ci[p]][0, 8·V), ascending p:
+// the strip is loaded once, updated by every non-zero of the row, and
+// stored once.  `tail` masks the last vector's lanes for a ragged right
+// edge; masked-off lanes are neither read nor written.
+template <int V>
+__attribute__((target("avx512f"))) inline void Avx512AxpyStrip(
+    double* out, const double* b, std::int64_t ldb, const std::int64_t* ci,
+    const double* vals, std::int64_t p0, std::int64_t p1, __mmask8 tail) {
+  __m512d acc[V];
+#pragma GCC unroll 4
+  for (int v = 0; v < V; ++v) {
+    acc[v] = _mm512_maskz_loadu_pd(v == V - 1 ? tail : 0xFF, out + 8 * v);
+  }
+  for (std::int64_t p = p0; p < p1; ++p) {
+    const __m512d va = _mm512_set1_pd(vals[p]);
+    const double* b_row = b + ci[p] * ldb;
+#pragma GCC unroll 4
+    for (int v = 0; v < V; ++v) {
+      const __m512d bv =
+          _mm512_maskz_loadu_pd(v == V - 1 ? tail : 0xFF, b_row + 8 * v);
+      acc[v] = _mm512_add_pd(acc[v], _mm512_mul_pd(va, bv));
+    }
+  }
+#pragma GCC unroll 4
+  for (int v = 0; v < V; ++v) {
+    _mm512_mask_storeu_pd(out + 8 * v, v == V - 1 ? tail : 0xFF, acc[v]);
+  }
+}
+
+__attribute__((target("avx512f"))) void Avx512SparseDenseRows(
+    DenseMatrix* acc, const SparseMatrix& a, const DenseMatrix& b,
+    std::int64_t i0, std::int64_t i1) {
+  const std::int64_t n = b.cols();
+  const std::int64_t* rp = a.row_ptr().data();
+  const std::int64_t* ci = a.col_idx().data();
+  const double* vals = a.values().data();
+  for (std::int64_t i = i0; i < i1; ++i) {
+    if (rp[i] == rp[i + 1]) continue;
+    double* out = acc->row(i);
+    for (std::int64_t j = 0; j < n; j += 32) {
+      const std::int64_t w = std::min<std::int64_t>(32, n - j);
+      const int vecs = static_cast<int>((w + 7) / 8);
+      const __mmask8 tail =
+          static_cast<__mmask8>((1u << (w - 8 * (vecs - 1))) - 1u);
+      const double* b_strip = b.data() + j;
+      switch (vecs) {
+        case 1:
+          Avx512AxpyStrip<1>(out + j, b_strip, n, ci, vals, rp[i], rp[i + 1],
+                             tail);
+          break;
+        case 2:
+          Avx512AxpyStrip<2>(out + j, b_strip, n, ci, vals, rp[i], rp[i + 1],
+                             tail);
+          break;
+        case 3:
+          Avx512AxpyStrip<3>(out + j, b_strip, n, ci, vals, rp[i], rp[i + 1],
+                             tail);
+          break;
+        default:
+          Avx512AxpyStrip<4>(out + j, b_strip, n, ci, vals, rp[i], rp[i + 1],
+                             tail);
+          break;
+      }
+    }
+  }
+}
+
+// ---- AVX-512 SpMM, dense × CSR: 8 output rows interleaved. -------------
+
+// Transposes the 8×8 tile r in registers: afterwards r[c] holds what was
+// column c.  Pairs are interleaved first (unpack), then 128-bit and
+// 256-bit halves are regrouped (shuffle_f64x2).  The all-lanes maskz
+// forms compile to the same unmasked instructions as the plain
+// intrinsics, whose GCC 12 definitions pass an "undefined" vector that
+// -Wmaybe-uninitialized reports once inlined here.
+__attribute__((target("avx512f"))) inline void Transpose8x8(__m512d r[8]) {
+  constexpr __mmask8 kAll = 0xFF;
+  __m512d t[8];
+#pragma GCC unroll 4
+  for (int x = 0; x < 8; x += 2) {
+    t[x] = _mm512_maskz_unpacklo_pd(kAll, r[x], r[x + 1]);
+    t[x + 1] = _mm512_maskz_unpackhi_pd(kAll, r[x], r[x + 1]);
+  }
+  // u[0..3]: rows 0-3 regrouped; u[4..7]: rows 4-7.
+  __m512d u[8];
+#pragma GCC unroll 2
+  for (int h = 0; h < 8; h += 4) {
+    u[h + 0] = _mm512_maskz_shuffle_f64x2(kAll, t[h], t[h + 2], 0x88);
+    u[h + 1] = _mm512_maskz_shuffle_f64x2(kAll, t[h], t[h + 2], 0xDD);
+    u[h + 2] = _mm512_maskz_shuffle_f64x2(kAll, t[h + 1], t[h + 3], 0x88);
+    u[h + 3] = _mm512_maskz_shuffle_f64x2(kAll, t[h + 1], t[h + 3], 0xDD);
+  }
+  r[0] = _mm512_maskz_shuffle_f64x2(kAll, u[0], u[4], 0x88);
+  r[1] = _mm512_maskz_shuffle_f64x2(kAll, u[2], u[6], 0x88);
+  r[2] = _mm512_maskz_shuffle_f64x2(kAll, u[1], u[5], 0x88);
+  r[3] = _mm512_maskz_shuffle_f64x2(kAll, u[3], u[7], 0x88);
+  r[4] = _mm512_maskz_shuffle_f64x2(kAll, u[0], u[4], 0xDD);
+  r[5] = _mm512_maskz_shuffle_f64x2(kAll, u[2], u[6], 0xDD);
+  r[6] = _mm512_maskz_shuffle_f64x2(kAll, u[1], u[5], 0xDD);
+  r[7] = _mm512_maskz_shuffle_f64x2(kAll, u[3], u[7], 0xDD);
+}
+
+// panel[c][x] = src[x][c] for x < rows, c < cols (both at most 8), where
+// src rows are `ld` apart; the lanes of missing rows are zero.
+__attribute__((target("avx512f"))) inline void PackTile(const double* src,
+                                                        std::int64_t ld,
+                                                        int rows, int cols,
+                                                        double* panel) {
+  const __mmask8 live = static_cast<__mmask8>((1u << cols) - 1u);
+  __m512d r[8];
+#pragma GCC unroll 8
+  for (int x = 0; x < 8; ++x) {
+    r[x] = x < rows ? _mm512_maskz_loadu_pd(live, src + x * ld)
+                    : _mm512_setzero_pd();
+  }
+  Transpose8x8(r);
+#pragma GCC unroll 8
+  for (int c = 0; c < 8; ++c) {
+    if (c < cols) _mm512_store_pd(panel + 8 * c, r[c]);
+  }
+}
+
+// The inverse of PackTile: dst[x][c] = panel[c][x] for x < rows,
+// c < cols; nothing else of dst is written.
+__attribute__((target("avx512f"))) inline void UnpackTile(const double* panel,
+                                                          int rows, int cols,
+                                                          double* dst,
+                                                          std::int64_t ld) {
+  const __mmask8 live = static_cast<__mmask8>((1u << cols) - 1u);
+  __m512d r[8];
+#pragma GCC unroll 8
+  for (int c = 0; c < 8; ++c) {
+    r[c] = c < cols ? _mm512_load_pd(panel + 8 * c) : _mm512_setzero_pd();
+  }
+  Transpose8x8(r);
+#pragma GCC unroll 8
+  for (int x = 0; x < 8; ++x) {
+    if (x < rows) _mm512_mask_storeu_pd(dst + x * ld, live, r[x]);
+  }
+}
+
+// Lane x of every panel vector belongs to output row i + x.  For each
+// output element the contributions still arrive in ascending k, each a
+// rounded multiply then a rounded add, exactly as in the portable loop;
+// the lanes of rows past i1 compute on zeros and are never stored.
+__attribute__((target("avx512f"))) void Avx512DenseSparseRows(
+    DenseMatrix* acc, const DenseMatrix& a, const SparseMatrix& b,
+    std::int64_t i0, std::int64_t i1) {
+  if (b.nnz() == 0) return;
+  const std::int64_t k = a.cols(), n = b.cols();
+  const std::int64_t* rp = b.row_ptr().data();
+  const std::int64_t* ci = b.col_idx().data();
+  const double* vals = b.values().data();
+  // a's 8 rows as a k×8 panel, then acc's 8 rows as an n×8 buffer, both
+  // 64-byte aligned so every 8-lane vector is one cache line.
+  const std::unique_ptr<double[]> scratch(new double[8 * (k + n) + 8]);
+  double* const a_panel = reinterpret_cast<double*>(
+      (reinterpret_cast<std::uintptr_t>(scratch.get()) + 63) &
+      ~std::uintptr_t{63});
+  double* const out = a_panel + 8 * k;
+  for (std::int64_t i = i0; i < i1; i += 8) {
+    const int rows = static_cast<int>(std::min<std::int64_t>(8, i1 - i));
+    for (std::int64_t kk = 0; kk < k; kk += 8) {
+      PackTile(a.row(i) + kk, k, rows,
+               static_cast<int>(std::min<std::int64_t>(8, k - kk)),
+               a_panel + 8 * kk);
+    }
+    for (std::int64_t j = 0; j < n; j += 8) {
+      PackTile(acc->row(i) + j, n, rows,
+               static_cast<int>(std::min<std::int64_t>(8, n - j)),
+               out + 8 * j);
+    }
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      const __m512d va = _mm512_load_pd(a_panel + 8 * kk);
+      for (std::int64_t p = rp[kk]; p < rp[kk + 1]; ++p) {
+        double* const o = out + 8 * ci[p];
+        _mm512_store_pd(o, _mm512_add_pd(_mm512_load_pd(o),
+                                         _mm512_mul_pd(
+                                             va, _mm512_set1_pd(vals[p]))));
+      }
+    }
+    for (std::int64_t j = 0; j < n; j += 8) {
+      UnpackTile(out + 8 * j, rows,
+                 static_cast<int>(std::min<std::int64_t>(8, n - j)),
+                 acc->row(i) + j, n);
+    }
+  }
+}
+
+#endif  // FUSEME_KERNELS_X86
+
 }  // namespace
 
-void SpmmAccSparseDense(DenseMatrix* acc, const SparseMatrix& a,
-                        const DenseMatrix& b, std::int64_t* flops,
-                        SparseKernelCounts* counts) {
+void SpmmAccSparseDense(GemmVariant variant, DenseMatrix* acc,
+                        const SparseMatrix& a, const DenseMatrix& b,
+                        std::int64_t* flops, SparseKernelCounts* counts) {
+  FUSEME_CHECK(GemmVariantSupported(variant));
   FUSEME_CHECK_EQ(a.cols(), b.rows());
   FUSEME_CHECK_EQ(acc->rows(), a.rows());
   FUSEME_CHECK_EQ(acc->cols(), b.cols());
   if (counts != nullptr) ++counts->spmm_sparse_dense_calls;
-  const std::int64_t n = b.cols();
-  const std::int64_t total = 2 * a.nnz() * n;
-  const auto& rp = a.row_ptr();
-  const auto& ci = a.col_idx();
-  const auto& vals = a.values();
+  const std::int64_t total = 2 * a.nnz() * b.cols();
+  auto rows = PortableSparseDenseRows;
+#if FUSEME_KERNELS_X86
+  if (variant == GemmVariant::kAvx512) rows = Avx512SparseDenseRows;
+#endif
   ForRowSlabs(a.rows(), total, counts, [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      double* out = acc->row(i);
-      for (std::int64_t p = rp[i]; p < rp[i + 1]; ++p) {
-        const double va = vals[p];
-        const double* b_row = b.row(ci[p]);
-        for (std::int64_t j = 0; j < n; ++j) out[j] += va * b_row[j];
-      }
-    }
+    rows(acc, a, b, i0, i1);
+  });
+  AddFlops(flops, counts, total);
+}
+
+void SpmmAccSparseDense(DenseMatrix* acc, const SparseMatrix& a,
+                        const DenseMatrix& b, std::int64_t* flops,
+                        SparseKernelCounts* counts) {
+  SpmmAccSparseDense(DispatchedGemmVariant(), acc, a, b, flops, counts);
+}
+
+void SpmmAccDenseSparse(GemmVariant variant, DenseMatrix* acc,
+                        const DenseMatrix& a, const SparseMatrix& b,
+                        std::int64_t* flops, SparseKernelCounts* counts) {
+  FUSEME_CHECK(GemmVariantSupported(variant));
+  FUSEME_CHECK_EQ(a.cols(), b.rows());
+  FUSEME_CHECK_EQ(acc->rows(), a.rows());
+  FUSEME_CHECK_EQ(acc->cols(), b.cols());
+  if (counts != nullptr) ++counts->spmm_dense_sparse_calls;
+  const std::int64_t total = 2 * a.rows() * b.nnz();
+  auto rows = PortableDenseSparseRows;
+#if FUSEME_KERNELS_X86
+  if (variant == GemmVariant::kAvx512) rows = Avx512DenseSparseRows;
+#endif
+  ForRowSlabs(a.rows(), total, counts, [&](std::int64_t i0, std::int64_t i1) {
+    rows(acc, a, b, i0, i1);
   });
   AddFlops(flops, counts, total);
 }
@@ -69,31 +334,7 @@ void SpmmAccSparseDense(DenseMatrix* acc, const SparseMatrix& a,
 void SpmmAccDenseSparse(DenseMatrix* acc, const DenseMatrix& a,
                         const SparseMatrix& b, std::int64_t* flops,
                         SparseKernelCounts* counts) {
-  FUSEME_CHECK_EQ(a.cols(), b.rows());
-  FUSEME_CHECK_EQ(acc->rows(), a.rows());
-  FUSEME_CHECK_EQ(acc->cols(), b.cols());
-  if (counts != nullptr) ++counts->spmm_dense_sparse_calls;
-  const std::int64_t k = a.cols();
-  const std::int64_t total = 2 * a.rows() * b.nnz();
-  const auto& rp = b.row_ptr();
-  const auto& ci = b.col_idx();
-  const auto& vals = b.values();
-  ForRowSlabs(a.rows(), total, counts, [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      double* out = acc->row(i);
-      const double* a_row = a.row(i);
-      // Zero a-entries are multiplied through, not skipped: skipping could
-      // flip a -0.0 accumulator to +0.0 or drop a NaN/Inf propagation,
-      // breaking bitwise parity with the k-outer formulation.
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        const double va = a_row[kk];
-        for (std::int64_t p = rp[kk]; p < rp[kk + 1]; ++p) {
-          out[ci[p]] += va * vals[p];
-        }
-      }
-    }
-  });
-  AddFlops(flops, counts, total);
+  SpmmAccDenseSparse(DispatchedGemmVariant(), acc, a, b, flops, counts);
 }
 
 void SpmmAccSparseSparse(DenseMatrix* acc, const SparseMatrix& a,

@@ -11,6 +11,22 @@
 //  * preserve the serial per-output-element accumulation order (ascending
 //    k), so results are bitwise-identical for every thread count.
 //
+// The two SpMM orientations with a dense operand also have AVX-512
+// variants, chosen through the one ISA dispatch in gemm_kernel.h (the
+// overloads without a variant argument use DispatchedGemmVariant()):
+//
+//  * SpmmAccSparseDense keeps a strip of up to 32 columns of an output
+//    row in registers across all of that row's non-zeros;
+//  * SpmmAccDenseSparse works on 8 output rows at once: it transposes
+//    the 8 rows of a into a k×8 panel and the 8 rows of acc into an n×8
+//    buffer (8×8 in-register transposes), does one 8-lane multiply and
+//    add per non-zero of b, and transposes the buffer back.  Scratch is
+//    the panel and the buffer, 8·(k+n) doubles per row range.
+//
+// Both add every contribution — zeros included — in the portable loop's
+// order with a separate multiply and add, so every variant is bitwise
+// identical to the portable loop.
+//
 // Each kernel takes an optional caller-owned SparseKernelCounts and adds
 // its calls, FLOPs, SDDMM dots and parallel launches there (null: don't
 // count).  src/matrix cannot depend on telemetry, so the kernel evaluator
@@ -25,6 +41,7 @@
 
 #include "matrix/block.h"
 #include "matrix/dense_matrix.h"
+#include "matrix/gemm_kernel.h"
 #include "matrix/sparse_matrix.h"
 
 namespace fuseme {
@@ -56,17 +73,27 @@ struct SparseKernelCounts {
   std::int64_t parallel_launches = 0;
 };
 
-/// acc += a · b for CSR a and dense b (row-parallel SpMM).  Charges
-/// 2·nnz(a)·cols(b) to *flops.
+/// acc += a · b for CSR a and dense b (row-parallel SpMM) with `variant`,
+/// which must be supported on this host.  Charges 2·nnz(a)·cols(b) to
+/// *flops.
+void SpmmAccSparseDense(GemmVariant variant, DenseMatrix* acc,
+                        const SparseMatrix& a, const DenseMatrix& b,
+                        std::int64_t* flops,
+                        SparseKernelCounts* counts = nullptr);
 void SpmmAccSparseDense(DenseMatrix* acc, const SparseMatrix& a,
                         const DenseMatrix& b, std::int64_t* flops,
                         SparseKernelCounts* counts = nullptr);
 
-/// acc += a · b for dense a and CSR b.  i-outer row-streaming loop: each
-/// output row streams through a's row i while expanding b's rows, so both
-/// reads and writes are contiguous.  Per output element the k
-/// contributions accumulate in ascending order — the same order as the
-/// k-outer formulation.  Charges 2·rows(a)·nnz(b) to *flops.
+/// acc += a · b for dense a and CSR b with `variant`, which must be
+/// supported on this host.  The portable loop is i-outer and
+/// row-streaming: each output row streams through a's row i while
+/// expanding b's rows.  Per output element the k contributions accumulate
+/// in ascending order — the same order as the k-outer formulation.
+/// Charges 2·rows(a)·nnz(b) to *flops.
+void SpmmAccDenseSparse(GemmVariant variant, DenseMatrix* acc,
+                        const DenseMatrix& a, const SparseMatrix& b,
+                        std::int64_t* flops,
+                        SparseKernelCounts* counts = nullptr);
 void SpmmAccDenseSparse(DenseMatrix* acc, const DenseMatrix& a,
                         const SparseMatrix& b, std::int64_t* flops,
                         SparseKernelCounts* counts = nullptr);

@@ -453,9 +453,7 @@ TEST(MatMulAccTest, EveryVariantMatchesScalarOracleBitwise) {
   std::string missing;
   for (GemmVariant variant :
        {GemmVariant::kPortable, GemmVariant::kAvx2, GemmVariant::kAvx512}) {
-    const auto& supported = SupportedGemmVariants();
-    if (std::find(supported.begin(), supported.end(), variant) ==
-        supported.end()) {
+    if (!GemmVariantSupported(variant)) {
       missing += std::string(" ") + GemmVariantName(variant);
     }
   }

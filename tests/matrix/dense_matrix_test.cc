@@ -1,9 +1,12 @@
 #include "matrix/dense_matrix.h"
 
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "matrix/gemm_kernel.h"
 #include "matrix/generators.h"
 
 namespace fuseme {
@@ -41,6 +44,49 @@ TEST(DenseMatrixTest, FillAndCountNonZeros) {
   EXPECT_EQ(m.CountNonZeros(), 16);
   m(1, 1) = 0.0;
   EXPECT_EQ(m.CountNonZeros(), 15);
+}
+
+// Every CountNonZeros variant must equal the scalar `v != 0.0` count:
+// NaN counts, zeros of both signs do not, and infinities and denormals
+// do.  Sizes 0-17 give every tail-lane count past the 16-wide unrolled
+// loop, and 1000 a long run; each size is filled several ways, from all
+// zeros to no zeros.
+TEST(DenseMatrixTest, CountNonZerosEveryVariant) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const double small = std::numeric_limits<double>::min() / 4;  // subnormal
+  const std::vector<double> values = {0.0,  -0.0,    1.5,   -2.0,
+                                      nan,  -nan,    inf,   -inf,
+                                      denorm, -denorm, small, -small};
+  std::vector<std::int64_t> sizes;
+  for (std::int64_t size = 0; size <= 17; ++size) sizes.push_back(size);
+  sizes.push_back(1000);
+  for (std::int64_t size : sizes) {
+    // Fill f < 12 cycles through the first f + 1 values (f = 0 and 1:
+    // zeros only), skipping a step every fifth element so the zeros move
+    // across lanes; fill 12 has no zero but a -0.0 as its last element.
+    for (std::int64_t f = 0; f <= 12; ++f) {
+      DenseMatrix m(1, size);
+      for (std::int64_t j = 0; j < size; ++j) {
+        const std::int64_t pick = f < 12 ? (j + j / 5) % (f + 1)
+                                         : (j + 1 == size ? 1 : 2 + j % 10);
+        m(0, j) = values[static_cast<std::size_t>(pick)];
+      }
+      std::int64_t want = 0;
+      for (std::int64_t j = 0; j < size; ++j) want += m(0, j) != 0.0;
+      for (GemmVariant variant : SupportedGemmVariants()) {
+        EXPECT_EQ(m.CountNonZeros(variant), want)
+            << GemmVariantName(variant) << " at size " << size << ", fill "
+            << f;
+      }
+      EXPECT_EQ(m.CountNonZeros(), want);
+    }
+  }
+  // The scalar count itself: 12 values, 2 of them zeros.
+  DenseMatrix cycle(1, 1200);
+  for (std::int64_t j = 0; j < 1200; ++j) cycle(0, j) = values[j % 12];
+  EXPECT_EQ(cycle.CountNonZeros(GemmVariant::kPortable), 1000);
 }
 
 TEST(DenseMatrixTest, Transposed) {

@@ -7,7 +7,12 @@
 
 #include "matrix/sparse_kernels.h"
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -15,6 +20,7 @@
 
 #include "common/thread_pool.h"
 #include "matrix/block_ops.h"
+#include "matrix/gemm_kernel.h"
 #include "matrix/generators.h"
 
 namespace fuseme {
@@ -326,6 +332,255 @@ TEST(SparseKernelsTest, MatMulAccRoutesThroughSparseKernels) {
   EXPECT_LE(DenseMatrix::MaxAbsDiff(acc2, expected), 1e-9);
   EXPECT_LE(DenseMatrix::MaxAbsDiff(acc3, expected), 1e-9);
   EXPECT_LE(DenseMatrix::MaxAbsDiff(acc1, RefMatMul(d, s.ToDense())), 1e-9);
+}
+
+// ---------------------------------------------------------------------------
+// Every SpMM variant against the scalar loops, bit for bit.
+
+// The contract every variant of the two SpMM orientations meets: per
+// output element the contributions in the portable loop's order
+// (ascending p within a row of CSR a; ascending k, then p, for CSR b),
+// each a rounded multiply then a rounded add, zero terms included.  This
+// file is built with -ffp-contract=off so the compiler cannot fuse the
+// multiply and add here.  With `fused` the loops use std::fma instead —
+// what a contracted kernel would compute.
+DenseMatrix NaiveSparseDense(DenseMatrix acc, const SparseMatrix& a,
+                             const DenseMatrix& b, bool fused = false) {
+  for (std::int64_t i = 0; i < a.rows(); ++i) {
+    for (std::int64_t p = a.row_ptr()[i]; p < a.row_ptr()[i + 1]; ++p) {
+      const double va = a.values()[p];
+      const std::int64_t kk = a.col_idx()[p];
+      for (std::int64_t j = 0; j < b.cols(); ++j) {
+        acc(i, j) = fused ? std::fma(va, b(kk, j), acc(i, j))
+                          : acc(i, j) + va * b(kk, j);
+      }
+    }
+  }
+  return acc;
+}
+
+DenseMatrix NaiveDenseSparse(DenseMatrix acc, const DenseMatrix& a,
+                             const SparseMatrix& b, bool fused = false) {
+  for (std::int64_t i = 0; i < a.rows(); ++i) {
+    for (std::int64_t kk = 0; kk < a.cols(); ++kk) {
+      const double va = a(i, kk);
+      for (std::int64_t p = b.row_ptr()[kk]; p < b.row_ptr()[kk + 1]; ++p) {
+        const std::int64_t j = b.col_idx()[p];
+        acc(i, j) = fused ? std::fma(va, b.values()[p], acc(i, j))
+                          : acc(i, j) + va * b.values()[p];
+      }
+    }
+  }
+  return acc;
+}
+
+// A uniform draw in [0, 1) that depends only on (seed, i, j) — splitmix64
+// over the three — so a sparsity pattern is fixed per cell, whatever the
+// shape.
+double Unit(std::uint64_t seed, std::int64_t i, std::int64_t j) {
+  std::uint64_t z = seed * 0x9E3779B97F4A7C15ull +
+                    static_cast<std::uint64_t>(i) * 0xBF58476D1CE4E5B9ull +
+                    static_cast<std::uint64_t>(j) * 0x94D049BB133111EBull;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  z ^= z >> 31;
+  return static_cast<double>(z >> 11) * 0x1.0p-53;
+}
+
+// A rows×cols CSR that stores value(i, j) — explicit zeros included —
+// wherever stored(i, j) holds.
+template <typename Stored, typename Value>
+SparseMatrix CsrWhere(std::int64_t rows, std::int64_t cols, Stored stored,
+                      Value value) {
+  std::vector<std::int64_t> row_ptr = {0}, col_idx;
+  std::vector<double> values;
+  for (std::int64_t i = 0; i < rows; ++i) {
+    for (std::int64_t j = 0; j < cols; ++j) {
+      if (!stored(i, j)) continue;
+      col_idx.push_back(j);
+      values.push_back(value(i, j));
+    }
+    row_ptr.push_back(static_cast<std::int64_t>(col_idx.size()));
+  }
+  return SparseMatrix::FromCsr(rows, cols, std::move(row_ptr),
+                               std::move(col_idx), std::move(values));
+}
+
+// Operands on which any departure from the contract changes output bits:
+//  - a contraction tripwire in output column 0: acc is -1, the only
+//    non-zero term is (1+2^-30)·(1-2^-30), and every other term is ±0, so
+//    the cell ends at 0 with a separate multiply and add but at -2^-60
+//    with an fma (CSR × dense: even rows only, so odd rows at 1% stay
+//    mostly empty);
+//  - zeros of both signs in a (stored ones in the CSR), and -0.0 in acc,
+//    so a skipped zero term or a lost -0.0 shows (-0.0 + +0.0 is +0.0);
+//  - NaN, +Inf and -Inf in every seventh row of the right operand (in
+//    separate columns; every fourth column stays finite), so zero terms
+//    meet 0·Inf, and a NaN in a at (2, 0).
+// Every NaN is the default NaN, the one 0·Inf and Inf-Inf produce: an add
+// of two NaNs keeps the first operand's payload, and the vector and scalar
+// code may order an add's operands differently, so one NaN pattern keeps
+// the comparison about the arithmetic.
+struct SpmmOperands {
+  DenseMatrix acc;
+  SparseMatrix sparse_a;  // CSR × dense: sparse_a · dense_b
+  DenseMatrix dense_b;
+  DenseMatrix dense_a;    // dense × CSR: dense_a · sparse_b
+  SparseMatrix sparse_b;
+};
+
+double DefaultNaN() {
+  volatile double zero = 0.0;
+  return zero * std::numeric_limits<double>::infinity();
+}
+
+SpmmOperands TrickySpmmOperands(std::int64_t m, std::int64_t k,
+                                std::int64_t n, double density,
+                                std::uint64_t seed) {
+  const double nan = DefaultNaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double trip_a = 1.0 + std::ldexp(1.0, -30);
+  const double trip_b = 1.0 - std::ldexp(1.0, -30);
+  const auto signed_zero = [](std::int64_t x) { return x % 2 ? -0.0 : 0.0; };
+  // The special value of cell (kk, j) of a right operand, or 1 for none.
+  const auto special = [&](std::int64_t kk, std::int64_t j) {
+    if (kk % 7 != 3 || j % 4 == 0) return 1.0;
+    return j % 4 == 1 ? nan : j % 4 == 2 ? inf : -inf;
+  };
+
+  SpmmOperands ops;
+  ops.acc = RandomDense(m, n, seed, -1.0, 1.0);
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      if ((i + j) % 3 == 0) ops.acc(i, j) = -0.0;
+    }
+    ops.acc(i, 0) = -1.0;
+  }
+
+  ops.sparse_a = CsrWhere(
+      m, k,
+      [&](std::int64_t i, std::int64_t kk) {
+        return Unit(seed + 1, i, kk) < density ||
+               (density > 0 && kk == 0 && i % 2 == 0);
+      },
+      [&](std::int64_t i, std::int64_t kk) {
+        if (kk == 0 && i % 2 == 0) return i == 2 ? nan : trip_a;
+        if (i % 5 == 3 || (i + kk) % 6 == 1) return signed_zero(i + kk);
+        return 2.0 * Unit(seed + 2, i, kk) - 1.0;
+      });
+  ops.dense_b = RandomDense(k, n, seed + 3, -1.0, 1.0);
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    for (std::int64_t j = 1; j < n; ++j) {
+      if (special(kk, j) != 1.0) ops.dense_b(kk, j) = special(kk, j);
+    }
+    ops.dense_b(kk, 0) = kk == 0 ? trip_b : signed_zero(kk);
+  }
+
+  ops.dense_a = RandomDense(m, k, seed + 4, -1.0, 1.0);
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      if (i % 5 == 3 || (i + kk) % 6 == 1) {
+        ops.dense_a(i, kk) = signed_zero(i + kk);
+      }
+    }
+    if (ops.dense_a(i, 0) != 0.0) ops.dense_a(i, 0) = i == 2 ? nan : trip_a;
+  }
+  ops.sparse_b = CsrWhere(
+      k, n,
+      [&](std::int64_t kk, std::int64_t j) {
+        return Unit(seed + 5, kk, j) < density ||
+               (density > 0 && kk == 0 && j == 0);
+      },
+      [&](std::int64_t kk, std::int64_t j) {
+        if (j == 0) return kk == 0 ? trip_b : signed_zero(kk);
+        if (special(kk, j) != 1.0) return special(kk, j);
+        if ((kk + j) % 6 == 1) return signed_zero(kk + j);
+        return 2.0 * Unit(seed + 6, kk, j) - 1.0;
+      });
+  return ops;
+}
+
+// Every variant of both SpMM orientations this host supports, at 1 and 4
+// threads, and the dispatched overloads, must reproduce the scalar loops
+// bit for bit: 1-7 leftover rows past an 8-row panel, widths around the
+// 8-lane vector and the 32-column strip, three inner dimensions, and
+// densities from empty to full.  m=130 at full density is large enough to
+// split into parallel row slabs.  Variants the host lacks are reported by
+// a skip once the others ran.
+TEST(SparseKernelsTest, EveryVariantMatchesScalarOracleBitwise) {
+  PoolGuard restore(GlobalParallelism());
+  std::uint64_t seed = 300;
+  bool ran_parallel = false;
+  for (std::int64_t m : {1, 7, 8, 9, 10, 11, 12, 13, 14, 15, 130}) {
+    for (std::int64_t n : {1, 7, 8, 31, 32, 33, 130}) {
+      for (std::int64_t k : {1, 67, 257}) {
+        for (double density : {0.0, 0.01, 0.25, 1.0}) {
+          SCOPED_TRACE(::testing::Message() << m << "x" << k << "x" << n
+                                            << " at density " << density);
+          const SpmmOperands ops =
+              TrickySpmmOperands(m, k, n, density, seed += 7);
+          const DenseMatrix want_sd =
+              NaiveSparseDense(ops.acc, ops.sparse_a, ops.dense_b);
+          const DenseMatrix want_ds =
+              NaiveDenseSparse(ops.acc, ops.dense_a, ops.sparse_b);
+          if (density > 0) {
+            // The inputs really are a tripwire for contraction.
+            ASSERT_FALSE(BitwiseEqual(
+                want_sd,
+                NaiveSparseDense(ops.acc, ops.sparse_a, ops.dense_b, true)));
+            ASSERT_FALSE(BitwiseEqual(
+                want_ds,
+                NaiveDenseSparse(ops.acc, ops.dense_a, ops.sparse_b, true)));
+          }
+          for (int threads : {1, 4}) {
+            SetGlobalThreadPoolThreads(threads);
+            for (GemmVariant variant : SupportedGemmVariants()) {
+              SparseKernelCounts counts;
+              std::int64_t flops = 0;
+              DenseMatrix got = ops.acc;
+              SpmmAccSparseDense(variant, &got, ops.sparse_a, ops.dense_b,
+                                 &flops, &counts);
+              EXPECT_TRUE(BitwiseEqual(got, want_sd))
+                  << "SpmmAccSparseDense " << GemmVariantName(variant)
+                  << " at " << threads << " threads";
+              EXPECT_EQ(flops, 2 * ops.sparse_a.nnz() * n);
+              got = ops.acc;
+              flops = 0;
+              SpmmAccDenseSparse(variant, &got, ops.dense_a, ops.sparse_b,
+                                 &flops, &counts);
+              EXPECT_TRUE(BitwiseEqual(got, want_ds))
+                  << "SpmmAccDenseSparse " << GemmVariantName(variant)
+                  << " at " << threads << " threads";
+              EXPECT_EQ(flops, 2 * m * ops.sparse_b.nnz());
+              ran_parallel = ran_parallel || counts.parallel_launches > 0;
+            }
+            DenseMatrix got = ops.acc;
+            SpmmAccSparseDense(&got, ops.sparse_a, ops.dense_b, nullptr);
+            EXPECT_TRUE(BitwiseEqual(got, want_sd))
+                << "dispatched SpmmAccSparseDense at " << threads
+                << " threads";
+            got = ops.acc;
+            SpmmAccDenseSparse(&got, ops.dense_a, ops.sparse_b, nullptr);
+            EXPECT_TRUE(BitwiseEqual(got, want_ds))
+                << "dispatched SpmmAccDenseSparse at " << threads
+                << " threads";
+          }
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(ran_parallel) << "no case split into parallel row slabs";
+
+  std::string missing;
+  for (GemmVariant variant :
+       {GemmVariant::kPortable, GemmVariant::kAvx2, GemmVariant::kAvx512}) {
+    if (!GemmVariantSupported(variant)) {
+      missing += std::string(" ") + GemmVariantName(variant);
+    }
+  }
+  if (!missing.empty()) {
+    GTEST_SKIP() << "kernel variants not supported on this host:" << missing;
+  }
 }
 
 // ---------------------------------------------------------------------------

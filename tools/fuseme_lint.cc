@@ -36,6 +36,14 @@
 //                       reference in the tree points at an existing
 //                       "## N." heading in DESIGN.md.
 //   lint-todo-tag       No TODO without an issue tag: TODO(#123).
+//   lint-simd-tu        Intrinsics headers (<immintrin.h>, ...), target
+//                       attributes and pragmas appear only in TUs that
+//                       their directory's CMakeLists.txt builds with
+//                       -ffp-contract=off, so no vector kernel can fuse a
+//                       multiply and add and break its bitwise contract
+//                       (src/matrix/gemm_kernel.h); __builtin_cpu_supports
+//                       and __builtin_cpu_init appear only in the one ISA
+//                       dispatch, src/matrix/gemm_kernel.cc.
 //
 // Usage:
 //   fuseme_lint [--root DIR] [path...]
@@ -436,6 +444,64 @@ void CheckTodoTags(const FileView& f, std::vector<Finding>* findings) {
   }
 }
 
+// --- rule: lint-simd-tu ---------------------------------------------------
+
+/// The file names a CMakeLists.txt builds with -ffp-contract=off: the
+/// file arguments of every set_source_files_properties(... PROPERTIES
+/// ...) call whose properties name the flag.
+std::set<std::string> FpContractOffSources(const std::string& cmake_lists) {
+  std::set<std::string> sources;
+  static const std::regex call_re(
+      R"(set_source_files_properties\s*\(([^)]*)\))");
+  for (auto it = std::sregex_iterator(cmake_lists.begin(), cmake_lists.end(),
+                                      call_re);
+       it != std::sregex_iterator(); ++it) {
+    const std::string args = (*it)[1].str();
+    const std::size_t props = args.find("PROPERTIES");
+    if (props == std::string::npos ||
+        args.find("-ffp-contract=off", props) == std::string::npos) {
+      continue;
+    }
+    std::istringstream words(args.substr(0, props));
+    for (std::string word; words >> word;) sources.insert(word);
+  }
+  return sources;
+}
+
+constexpr char kDispatchTu[] = "src/matrix/gemm_kernel.cc";
+
+/// `contract_off` is the set FpContractOffSources read from the file's
+/// own directory (empty when it has no CMakeLists.txt).
+void CheckSimdTus(const FileView& f, const std::set<std::string>& contract_off,
+                  std::vector<Finding>* findings) {
+  static const std::regex simd_re(
+      R"((#\s*include\s*<\w*intrin\.h>)|)"
+      R"((__attribute__\s*\(\(\s*target\s*\()|)"
+      R"((#\s*pragma\s+GCC\s+target\b)|)"
+      R"((__builtin_cpu_(?:supports|init)\b))");
+  const bool kernel_tu =
+      contract_off.count(fs::path(f.display_path).filename().string()) > 0;
+  for (auto it = std::sregex_iterator(f.code.begin(), f.code.end(), simd_re);
+       it != std::sregex_iterator(); ++it) {
+    const int line =
+        LineOfOffset(f.code, static_cast<std::size_t>(it->position()));
+    if ((*it)[4].matched) {
+      if (f.display_path == kDispatchTu) continue;
+      findings->push_back(
+          {f.display_path, line, "lint-simd-tu",
+           (*it)[4].str() + " outside " + kDispatchTu +
+               "; the one ISA dispatch is SupportedGemmVariants() there"});
+    } else if (!kernel_tu) {
+      findings->push_back(
+          {f.display_path, line, "lint-simd-tu",
+           (*it)[0].str() +
+               " in a TU its CMakeLists.txt does not build with "
+               "-ffp-contract=off; vector kernels must not fuse a multiply "
+               "and add (src/matrix/gemm_kernel.h)"});
+    }
+  }
+}
+
 // --- driver ---------------------------------------------------------------
 
 bool SkipDir(const fs::path& dir) {
@@ -553,8 +619,17 @@ int main(int argc, char** argv) {
   const std::set<int> design_sections =
       have_design_md ? ParseDesignSections(design_md) : std::set<int>{};
 
+  // Per directory: the TUs its CMakeLists.txt builds with -ffp-contract=off.
+  std::map<fs::path, std::set<std::string>> contract_off_by_dir;
   std::vector<Finding> findings;
   for (const FileView& v : views) {
+    const fs::path dir = (root / v.display_path).parent_path();
+    auto [dir_it, inserted] = contract_off_by_dir.try_emplace(dir);
+    std::string cmake_lists;
+    if (inserted && ReadFile(dir / "CMakeLists.txt", &cmake_lists)) {
+      dir_it->second = FpContractOffSources(cmake_lists);
+    }
+    CheckSimdTus(v, dir_it->second, &findings);
     CheckRawSync(v, &findings);
     if (scanned_catalogue) CheckMetricLiterals(v, catalogue_names, &findings);
     if (scanned_event_catalogue) {
