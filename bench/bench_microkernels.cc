@@ -7,8 +7,10 @@
 // suite (the dense kernel at 1 thread vs the machine's parallelism) and
 // per-variant suites (each supported ISA's dense GEMM at the workloads'
 // shapes, and its two SpMM orientations and dense non-zero count at
-// gnmf_step's block shapes), verifies the results are bitwise identical,
-// and writes the measurements to BENCH_microkernels.json.
+// gnmf_step's block shapes), then the dense transpose and element-wise
+// kernels against per-cell scalar oracles, verifies the results are
+// bitwise identical, and writes the measurements to
+// BENCH_microkernels.json.
 
 #include <benchmark/benchmark.h>
 
@@ -427,6 +429,124 @@ void RunSparseVariantSuite(std::vector<bench::BenchRecord>* records) {
   SetGlobalThreadPoolThreads(machine);
 }
 
+// --- Transpose and element-wise kernels, 1 thread. ---
+//
+// The blocked dense transpose at a square and a wide block shape, and the
+// one-loop-per-op element-wise kernels (an add, a divide, a unary op that
+// calls exp, and a scalar multiply) on a 256×256 dense block, in
+// Gcell/s.  Each row's output must equal a per-cell scalar oracle (the
+// naive transpose loop; ApplyBinary / ApplyUnary) bit for bit; the suite
+// exits non-zero otherwise.
+
+void RunElementwiseSuite(std::vector<bench::BenchRecord>* records) {
+  const int machine = GlobalParallelism();
+  SetGlobalThreadPoolThreads(1);
+  const DenseMatrix a = RandomDense(256, 256, 61, -2.0, 2.0);
+  const DenseMatrix b = RandomDense(256, 256, 62, 0.5, 2.0);
+  const DenseMatrix wide = RandomDense(128, 512, 63, -2.0, 2.0);
+  auto naive_transpose = [](const DenseMatrix& x) {
+    DenseMatrix t(x.cols(), x.rows());
+    for (std::int64_t i = 0; i < x.rows(); ++i) {
+      for (std::int64_t j = 0; j < x.cols(); ++j) t(j, i) = x(i, j);
+    }
+    return t;
+  };
+  auto per_cell = [](const DenseMatrix& x, auto fn) {
+    DenseMatrix out(x.rows(), x.cols());
+    for (std::int64_t i = 0; i < x.size(); ++i) {
+      out.data()[i] = fn(i);
+    }
+    return out;
+  };
+  struct Row {
+    const char* name;
+    const char* op;
+    const DenseMatrix* x;
+    int inputs;  // dense operands read (x, and b for binary ops)
+    std::function<Result<Block>(const Block& x, const Block& b)> run;
+    DenseMatrix want;  // the scalar oracle's output
+  };
+  const Row rows[] = {
+      {"transpose", "dense", &a, 1,
+       [](const Block& x, const Block&) { return Transpose(x); },
+       naive_transpose(a)},
+      {"transpose", "dense", &wide, 1,
+       [](const Block& x, const Block&) { return Transpose(x); },
+       naive_transpose(wide)},
+      {"ewise", "add", &a, 2,
+       [](const Block& x, const Block& y) {
+         return EwiseBinary(BinaryFn::kAdd, x, y);
+       },
+       per_cell(a,
+                [&](std::int64_t i) {
+                  return ApplyBinary(BinaryFn::kAdd, a.data()[i],
+                                     b.data()[i]);
+                })},
+      {"ewise", "div", &a, 2,
+       [](const Block& x, const Block& y) {
+         return EwiseBinary(BinaryFn::kDiv, x, y);
+       },
+       per_cell(a,
+                [&](std::int64_t i) {
+                  return ApplyBinary(BinaryFn::kDiv, a.data()[i],
+                                     b.data()[i]);
+                })},
+      {"ewise", "sigmoid", &a, 1,
+       [](const Block& x, const Block&) {
+         return Unary(UnaryFn::kSigmoid, x);
+       },
+       per_cell(a,
+                [&](std::int64_t i) {
+                  return ApplyUnary(UnaryFn::kSigmoid, a.data()[i]);
+                })},
+      {"ewise", "scalar_mul", &a, 1,
+       [](const Block& x, const Block&) {
+         return EwiseScalar(BinaryFn::kMul, x, 0.75, /*scalar_left=*/false);
+       },
+       per_cell(a,
+                [&](std::int64_t i) {
+                  return ApplyBinary(BinaryFn::kMul, a.data()[i], 0.75);
+                })},
+  };
+  std::printf("--- transpose and element-wise kernels, 1 thread, dense "
+              "(Gcell/s) ---\n");
+  const Block b_block = Block::FromDense(b);
+  for (const Row& row : rows) {
+    const Block x = Block::FromDense(*row.x);
+    const std::int64_t cells = row.x->size();
+    // Enough repetitions to cover ~20 ms at ~0.5 Gcell/s.
+    const int reps = static_cast<int>(
+        std::clamp<std::int64_t>((std::int64_t{1} << 23) / cells, 3, 200));
+    Block out;
+    const double seconds = BestOfReps(reps, [&] {
+      Result<Block> result = row.run(x, b_block);
+      FUSEME_CHECK(result.ok()) << result.status().ToString();
+      out = *std::move(result);
+    });
+    const DenseMatrix got = out.ToDense();
+    if (got.rows() != row.want.rows() || got.cols() != row.want.cols() ||
+        std::memcmp(got.data(), row.want.data(), sizeof(double) * cells) !=
+            0) {
+      std::fprintf(stderr, "FAIL: %s %s differs from the scalar oracle\n",
+                   row.name, row.op);
+      std::exit(1);
+    }
+    const std::string shape = std::to_string(row.x->rows()) + "x" +
+                              std::to_string(row.x->cols());
+    std::printf("%-10s %-11s %-8s %8.3f\n", row.name, row.op, shape.c_str(),
+                static_cast<double>(cells) / seconds / 1e9);
+    // Bytes: the operands read and the result written.
+    records->push_back({row.name,
+                        {{"op", row.op}, {"shape", shape}, {"threads", "1"}},
+                        seconds,
+                        8 * cells * (row.inputs + 1),
+                        cells});
+  }
+  std::printf("(every row bitwise identical to its scalar oracle; the "
+              "records' flops field counts cells)\n\n");
+  SetGlobalThreadPoolThreads(machine);
+}
+
 }  // namespace
 }  // namespace fuseme
 
@@ -436,6 +556,7 @@ int main(int argc, char** argv) {
   fuseme::RunGemmSpeedupSuite(&records, &metrics);
   fuseme::RunGemmVariantSuite(&records);
   fuseme::RunSparseVariantSuite(&records);
+  fuseme::RunElementwiseSuite(&records);
   if (!fuseme::bench::WriteBenchJson("microkernels", records,
                                      metrics.Snapshot().ToJson())) {
     return 1;

@@ -49,15 +49,29 @@ run_and_check() {
 
 # --benchmark_filter matching nothing skips the google-benchmark cases;
 # the serial-vs-parallel GEMM suite (which feeds the registry) and the
-# per-variant GEMM, SpMM and non-zero-count suites still run.  The latter
-# exit non-zero if any supported kernel variant's output differs from the
-# portable loop's.
+# per-variant GEMM, SpMM and non-zero-count suites and the transpose and
+# element-wise suite still run.  The latter exit non-zero if any supported
+# kernel variant's output differs from the portable loop's, or a kernel's
+# from its scalar oracle.
 run_and_check "$PWD/$BUILD_DIR/bench/bench_microkernels" \
   BENCH_microkernels.json --benchmark_filter='^$'
 for kernel in dense_gemm spmm_sparse_dense spmm_dense_sparse count_nonzeros; do
   if ! grep -q "\"name\": \"$kernel\", \"config\": {\"isa\": \"portable\"" \
       "$SCRATCH/BENCH_microkernels.json"; then
     echo "FAIL: BENCH_microkernels.json has no per-variant $kernel rows" >&2
+    exit 1
+  fi
+done
+# The blocked transpose and the element-wise kernels, each row checked
+# bitwise against its scalar oracle by the bench itself.
+for row in '"name": "transpose", "config": {"op": "dense", "shape": "256x256"' \
+           '"name": "transpose", "config": {"op": "dense", "shape": "128x512"' \
+           '"name": "ewise", "config": {"op": "add"' \
+           '"name": "ewise", "config": {"op": "div"' \
+           '"name": "ewise", "config": {"op": "sigmoid"' \
+           '"name": "ewise", "config": {"op": "scalar_mul"'; do
+  if ! grep -qF "$row" "$SCRATCH/BENCH_microkernels.json"; then
+    echo "FAIL: BENCH_microkernels.json has no row $row" >&2
     exit 1
   fi
 done

@@ -16,8 +16,9 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 # The tests that exercise the thread pool, the parallel kernels, and the
 # parallel operators (including the serial-vs-parallel determinism suite
 # and the OOM degradation ladder's thread sweep, whose rungs re-run a
-# stage's work items on the pool after a mid-stage overrun).
-REGEX=${1:-'Synchronization|ThreadPool|GlobalThreadPool|ParallelDeterminism|MatMul|BlockedMatrix|Stage|FusedOperator|OperatorSweep|Metrics|Logging|FaultTolerance|OomLadder|OptionsValidation|SparseKernels|ConcurrentEngines|EventJournal|SolverRegistry|CompiledPlan'}
+# stage's work items on the pool after a mid-stage overrun, and the
+# transposed-operand engine runs at 1 and 4 threads).
+REGEX=${1:-'Synchronization|ThreadPool|GlobalThreadPool|ParallelDeterminism|MatMul|BlockedMatrix|Stage|FusedOperator|OperatorSweep|Metrics|Logging|FaultTolerance|OomLadder|OptionsValidation|SparseKernels|ConcurrentEngines|EventJournal|SolverRegistry|CompiledPlan|TransposedOperands'}
 
 # Exercise more than one thread even on small CI machines.
 export FUSEME_THREADS=${FUSEME_THREADS:-4}

@@ -46,6 +46,90 @@ Status CheckSameShape(const Block& a, const Block& b, const char* op) {
   return Status::OK();
 }
 
+/// `a`'s values as a dense matrix: a dense block is read in place; only a
+/// zero or sparse block is materialised, into *tmp.
+const DenseMatrix& DenseView(const Block& a, DenseMatrix* tmp) {
+  if (a.kind() == Block::Kind::kDense) return a.dense();
+  *tmp = a.ToDense();
+  return *tmp;
+}
+
+// The dense element-wise kernels below pick their function once per block
+// (VisitBinaryFn / VisitUnaryFn) and then run one loop that applies the
+// same inline definition as ApplyBinary / ApplyUnary (scalar_ops.h) to
+// each cell, in index order.  Each cell is computed from its own operands
+// alone, so the output is bitwise that of a per-cell ApplyBinary /
+// ApplyUnary loop, while the compiler is free to vectorise the loop.
+
+template <BinaryFn F>
+void BinaryLoop(const double* __restrict x, const double* __restrict y,
+                double* __restrict out, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) out[i] = BinaryOp<F>(x[i], y[i]);
+}
+
+template <BinaryFn F, bool kScalarLeft>
+void ScalarLoop(const double* __restrict x, double s, double* __restrict out,
+                std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    out[i] = kScalarLeft ? BinaryOp<F>(s, x[i]) : BinaryOp<F>(x[i], s);
+  }
+}
+
+template <UnaryFn F>
+void UnaryLoop(const double* __restrict x, double* __restrict out,
+               std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) out[i] = UnaryOp<F>(x[i]);
+}
+
+/// fn(x_ij, y_ij) for every cell; x and y have the same shape.
+DenseMatrix BinaryDense(BinaryFn fn, const DenseMatrix& x,
+                        const DenseMatrix& y) {
+  DenseMatrix out(x.rows(), x.cols());
+  VisitBinaryFn(fn, [&](auto op) {
+    BinaryLoop<decltype(op)::value>(x.data(), y.data(), out.data(),
+                                    out.size());
+  });
+  return out;
+}
+
+/// fn(s, x_ij) (scalar_left) or fn(x_ij, s) for every cell.
+DenseMatrix ScalarDense(BinaryFn fn, const DenseMatrix& x, double s,
+                        bool scalar_left) {
+  DenseMatrix out(x.rows(), x.cols());
+  VisitBinaryFn(fn, [&](auto op) {
+    constexpr BinaryFn kFn = decltype(op)::value;
+    if (scalar_left) {
+      ScalarLoop<kFn, true>(x.data(), s, out.data(), out.size());
+    } else {
+      ScalarLoop<kFn, false>(x.data(), s, out.data(), out.size());
+    }
+  });
+  return out;
+}
+
+/// fn(x_ij) for every cell.
+DenseMatrix UnaryDense(UnaryFn fn, const DenseMatrix& x) {
+  DenseMatrix out(x.rows(), x.cols());
+  VisitUnaryFn(fn, [&](auto op) {
+    UnaryLoop<decltype(op)::value>(x.data(), out.data(), out.size());
+  });
+  return out;
+}
+
+/// The non-zero results of `value(v)` over a's stored entries, in a's
+/// row-major order; `value` must map 0 to 0 (the implicit entries).
+template <typename ValueFn>
+Block MapStoredEntries(const SparseMatrix& a, ValueFn value) {
+  std::vector<std::tuple<std::int64_t, std::int64_t, double>> triplets;
+  triplets.reserve(a.nnz());
+  a.ForEach([&](std::int64_t i, std::int64_t j, double v) {
+    const double out = value(i, j, v);
+    if (out != 0.0) triplets.emplace_back(i, j, out);
+  });
+  return NormalizeSparse(
+      SparseMatrix::FromTriplets(a.rows(), a.cols(), std::move(triplets)));
+}
+
 }  // namespace
 
 Result<Block> EwiseBinary(BinaryFn fn, const Block& a, const Block& b,
@@ -81,40 +165,24 @@ Result<Block> EwiseBinary(BinaryFn fn, const Block& a, const Block& b,
       return NormalizeSparse(std::move(out));
     }
     if (a_sparse || b_sparse) {
-      const Block& s = a_sparse ? a : b;
-      const Block& d = a_sparse ? b : a;
-      std::vector<std::tuple<std::int64_t, std::int64_t, double>> triplets;
-      triplets.reserve(s.nnz());
-      s.sparse().ForEach([&](std::int64_t i, std::int64_t j, double v) {
-        double other = d.At(i, j);  // dense lookup: O(1)
-        double out = a_sparse ? ApplyBinary(fn, v, other)
-                              : ApplyBinary(fn, other, v);
-        if (out != 0.0) triplets.emplace_back(i, j, out);
-      });
+      const SparseMatrix& s = (a_sparse ? a : b).sparse();
+      const DenseMatrix& d = (a_sparse ? b : a).dense();
       AddFlops(flops, s.nnz());
-      return NormalizeSparse(
-          SparseMatrix::FromTriplets(a.rows(), a.cols(), std::move(triplets)));
+      return MapStoredEntries(s, [&](std::int64_t i, std::int64_t j,
+                                     double v) {
+        return a_sparse ? BinaryOp<BinaryFn::kMul>(v, d(i, j))
+                        : BinaryOp<BinaryFn::kMul>(d(i, j), v);
+      });
     }
-    // Dense · dense.
-    DenseMatrix out(a.rows(), a.cols());
-    const DenseMatrix& da = a.dense();
-    const DenseMatrix& db = b.dense();
-    for (std::int64_t i = 0; i < cells; ++i) {
-      out.data()[i] = da.data()[i] * db.data()[i];
-    }
-    AddFlops(flops, cells);
-    return NormalizeDense(std::move(out));
-  }
-
-  if (fn == BinaryFn::kAdd || fn == BinaryFn::kSub) {
-    if (b.is_zero()) {
-      AddFlops(flops, 0);
-      return a;
-    }
+    // Dense · dense: the dense loop below.
+  } else if (fn == BinaryFn::kAdd || fn == BinaryFn::kSub) {
+    if (b.is_zero()) return a;
     if (a.is_zero()) {
-      AddFlops(flops, fn == BinaryFn::kSub ? b.nnz() : 0);
-      return fn == BinaryFn::kAdd ? Result<Block>(b)
-                                  : Unary(UnaryFn::kNeg, b, flops);
+      if (fn == BinaryFn::kAdd) return b;
+      // 0 - b is -b: one negation per stored entry of b, the meta
+      // estimator's min(cells, nnz(a) + nnz(b)).
+      AddFlops(flops, b.nnz());
+      return Unary(UnaryFn::kNeg, b);
     }
     if (a.kind() == Block::Kind::kSparse &&
         b.kind() == Block::Kind::kSparse) {
@@ -131,26 +199,15 @@ Result<Block> EwiseBinary(BinaryFn fn, const Block& a, const Block& b,
       return NormalizeSparse(
           SparseMatrix::FromTriplets(a.rows(), a.cols(), std::move(triplets)));
     }
-    // At least one dense operand: dense loop.
-    DenseMatrix da = a.ToDense();
-    DenseMatrix db = b.ToDense();
-    DenseMatrix out(a.rows(), a.cols());
-    for (std::int64_t i = 0; i < cells; ++i) {
-      out.data()[i] = fn == BinaryFn::kAdd ? da.data()[i] + db.data()[i]
-                                           : da.data()[i] - db.data()[i];
-    }
-    AddFlops(flops, cells);
-    return NormalizeDense(std::move(out));
+    // At least one dense operand: the dense loop below.
   }
 
-  // General path (div, pow, min, max, comparisons): element-by-element with
-  // full zero semantics (0/0 really is NaN).
-  DenseMatrix da = a.ToDense();
-  DenseMatrix db = b.ToDense();
-  DenseMatrix out(a.rows(), a.cols());
-  for (std::int64_t i = 0; i < cells; ++i) {
-    out.data()[i] = ApplyBinary(fn, da.data()[i], db.data()[i]);
-  }
+  // Dense loop: dense · dense for *, any mix with a dense operand for + and
+  // -, and every other function (div, pow, min, max, comparisons) with full
+  // zero semantics (0/0 really is NaN).
+  DenseMatrix a_tmp, b_tmp;
+  DenseMatrix out =
+      BinaryDense(fn, DenseView(a, &a_tmp), DenseView(b, &b_tmp));
   AddFlops(flops, cells);
   return NormalizeDense(std::move(out));
 }
@@ -174,23 +231,18 @@ Result<Block> EwiseScalar(BinaryFn fn, const Block& a, double scalar,
     return Block::Constant(a.rows(), a.cols(), zero_maps_to);
   }
   if (a.kind() == Block::Kind::kSparse && preserves_zero) {
-    std::vector<std::tuple<std::int64_t, std::int64_t, double>> triplets;
-    triplets.reserve(a.nnz());
-    a.sparse().ForEach([&](std::int64_t i, std::int64_t j, double v) {
-      double out =
-          scalar_left ? ApplyBinary(fn, scalar, v) : ApplyBinary(fn, v, scalar);
-      if (out != 0.0) triplets.emplace_back(i, j, out);
-    });
     AddFlops(flops, a.nnz());
-    return NormalizeSparse(
-        SparseMatrix::FromTriplets(a.rows(), a.cols(), std::move(triplets)));
+    return VisitBinaryFn(fn, [&](auto op) {
+      constexpr BinaryFn kFn = decltype(op)::value;
+      return MapStoredEntries(a.sparse(), [&](std::int64_t, std::int64_t,
+                                              double v) {
+        return scalar_left ? BinaryOp<kFn>(scalar, v)
+                           : BinaryOp<kFn>(v, scalar);
+      });
+    });
   }
-  DenseMatrix da = a.ToDense();
-  DenseMatrix out(a.rows(), a.cols());
-  for (std::int64_t i = 0; i < cells; ++i) {
-    out.data()[i] = scalar_left ? ApplyBinary(fn, scalar, da.data()[i])
-                                : ApplyBinary(fn, da.data()[i], scalar);
-  }
+  DenseMatrix tmp;
+  DenseMatrix out = ScalarDense(fn, DenseView(a, &tmp), scalar, scalar_left);
   AddFlops(flops, cells);
   return NormalizeDense(std::move(out));
 }
@@ -209,21 +261,16 @@ Result<Block> Unary(UnaryFn fn, const Block& a, std::int64_t* flops) {
     return Block::Constant(a.rows(), a.cols(), ApplyUnary(fn, 0.0));
   }
   if (a.kind() == Block::Kind::kSparse && preserves_zero) {
-    std::vector<std::tuple<std::int64_t, std::int64_t, double>> triplets;
-    triplets.reserve(a.nnz());
-    a.sparse().ForEach([&](std::int64_t i, std::int64_t j, double v) {
-      double out = ApplyUnary(fn, v);
-      if (out != 0.0) triplets.emplace_back(i, j, out);
-    });
     AddFlops(flops, a.nnz());
-    return NormalizeSparse(
-        SparseMatrix::FromTriplets(a.rows(), a.cols(), std::move(triplets)));
+    return VisitUnaryFn(fn, [&](auto op) {
+      return MapStoredEntries(
+          a.sparse(), [](std::int64_t, std::int64_t, double v) {
+            return UnaryOp<decltype(op)::value>(v);
+          });
+    });
   }
-  DenseMatrix da = a.ToDense();
-  DenseMatrix out(a.rows(), a.cols());
-  for (std::int64_t i = 0; i < cells; ++i) {
-    out.data()[i] = ApplyUnary(fn, da.data()[i]);
-  }
+  DenseMatrix tmp;
+  DenseMatrix out = UnaryDense(fn, DenseView(a, &tmp));
   AddFlops(flops, cells);
   return NormalizeDense(std::move(out));
 }
@@ -315,6 +362,60 @@ namespace {
 /// Shared reduction core: reduces `a` along rows, cols, or everything.
 enum class ReduceAxis { kAll, kRow, kCol };
 
+template <AggFn F>
+double Fold(double acc, double v) {
+  if constexpr (F == AggFn::kSum) {
+    return acc + v;
+  } else if constexpr (F == AggFn::kMin) {
+    return std::min(acc, v);
+  } else {
+    return std::max(acc, v);
+  }
+}
+
+/// Reduces the dense `a` along `axis` into `out` (zero-filled, shaped for
+/// the axis).  Every slice folds its elements in row-major order: a sum
+/// starts from 0.0, min and max from the slice's first element.
+template <AggFn F>
+void ReduceDense(ReduceAxis axis, const DenseMatrix& a,
+                 double* __restrict out) {
+  constexpr bool kSeedFirst = F != AggFn::kSum;
+  const std::int64_t rows = a.rows(), cols = a.cols();
+  switch (axis) {
+    case ReduceAxis::kAll: {
+      const double* x = a.data();
+      const std::int64_t n = a.size();
+      if (n == 0) return;
+      double acc = kSeedFirst ? x[0] : 0.0;
+      for (std::int64_t i = kSeedFirst ? 1 : 0; i < n; ++i) {
+        acc = Fold<F>(acc, x[i]);
+      }
+      out[0] = acc;
+      return;
+    }
+    case ReduceAxis::kRow:
+      if (cols == 0) return;
+      for (std::int64_t i = 0; i < rows; ++i) {
+        const double* x = a.row(i);
+        double acc = kSeedFirst ? x[0] : 0.0;
+        for (std::int64_t j = kSeedFirst ? 1 : 0; j < cols; ++j) {
+          acc = Fold<F>(acc, x[j]);
+        }
+        out[i] = acc;
+      }
+      return;
+    case ReduceAxis::kCol: {
+      if (rows == 0) return;
+      if (kSeedFirst) std::copy(a.row(0), a.row(0) + cols, out);
+      for (std::int64_t i = kSeedFirst ? 1 : 0; i < rows; ++i) {
+        const double* __restrict x = a.row(i);
+        for (std::int64_t j = 0; j < cols; ++j) out[j] = Fold<F>(out[j], x[j]);
+      }
+      return;
+    }
+  }
+}
+
 Result<Block> Reduce(AggFn fn, ReduceAxis axis, const Block& a,
                      std::int64_t* flops) {
   const std::int64_t out_rows = axis == ReduceAxis::kCol ? 1 : a.rows();
@@ -333,65 +434,37 @@ Result<Block> Reduce(AggFn fn, ReduceAxis axis, const Block& a,
 
   // kSum over sparse can skip zeros; min/max must observe implicit zeros,
   // so go through the dense view (blocks are small by construction).
+  DenseMatrix out(final_rows, final_cols);
   if (fn == AggFn::kSum && a.kind() == Block::Kind::kSparse) {
-    DenseMatrix out(final_rows, final_cols);
-    a.sparse().ForEach([&](std::int64_t i, std::int64_t j, double v) {
-      switch (axis) {
-        case ReduceAxis::kAll:
-          out(0, 0) += v;
-          break;
-        case ReduceAxis::kRow:
-          out(i, 0) += v;
-          break;
-        case ReduceAxis::kCol:
-          out(0, j) += v;
-          break;
-      }
-    });
+    const SparseMatrix& s = a.sparse();
+    double* o = out.data();
+    switch (axis) {
+      case ReduceAxis::kAll:
+        s.ForEach([o](std::int64_t, std::int64_t, double v) { o[0] += v; });
+        break;
+      case ReduceAxis::kRow:
+        s.ForEach([o](std::int64_t i, std::int64_t, double v) { o[i] += v; });
+        break;
+      case ReduceAxis::kCol:
+        s.ForEach([o](std::int64_t, std::int64_t j, double v) { o[j] += v; });
+        break;
+    }
     AddFlops(flops, a.nnz());
     return NormalizeDense(std::move(out));
   }
 
-  DenseMatrix da = a.ToDense();
-  DenseMatrix out(final_rows, final_cols);
-  auto fold = [fn](double acc, double v) {
-    switch (fn) {
-      case AggFn::kSum:
-        return acc + v;
-      case AggFn::kMin:
-        return std::min(acc, v);
-      case AggFn::kMax:
-        return std::max(acc, v);
-    }
-    return acc;
-  };
-  const double init = fn == AggFn::kSum ? 0.0 : da(0, 0);
-  out.Fill(init);
-  if (fn != AggFn::kSum) {
-    // Seed row/col reductions with the first element of each slice.
-    if (axis == ReduceAxis::kRow) {
-      for (std::int64_t i = 0; i < a.rows(); ++i) out(i, 0) = da(i, 0);
-    } else if (axis == ReduceAxis::kCol) {
-      for (std::int64_t j = 0; j < a.cols(); ++j) out(0, j) = da(0, j);
-    }
-  }
-  for (std::int64_t i = 0; i < a.rows(); ++i) {
-    for (std::int64_t j = 0; j < a.cols(); ++j) {
-      const double v = da(i, j);
-      switch (axis) {
-        case ReduceAxis::kAll:
-          out(0, 0) = (i == 0 && j == 0 && fn != AggFn::kSum)
-                          ? v
-                          : fold(out(0, 0), v);
-          break;
-        case ReduceAxis::kRow:
-          out(i, 0) = (j == 0 && fn != AggFn::kSum) ? v : fold(out(i, 0), v);
-          break;
-        case ReduceAxis::kCol:
-          out(0, j) = (i == 0 && fn != AggFn::kSum) ? v : fold(out(0, j), v);
-          break;
-      }
-    }
+  DenseMatrix tmp;
+  const DenseMatrix& da = DenseView(a, &tmp);
+  switch (fn) {
+    case AggFn::kSum:
+      ReduceDense<AggFn::kSum>(axis, da, out.data());
+      break;
+    case AggFn::kMin:
+      ReduceDense<AggFn::kMin>(axis, da, out.data());
+      break;
+    case AggFn::kMax:
+      ReduceDense<AggFn::kMax>(axis, da, out.data());
+      break;
   }
   AddFlops(flops, a.size());
   return NormalizeDense(std::move(out));

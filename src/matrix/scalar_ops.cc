@@ -1,68 +1,24 @@
 #include "matrix/scalar_ops.h"
 
-#include <algorithm>
-#include <cmath>
+#include <cstdlib>
+
+#include "common/logging.h"
 
 namespace fuseme {
 
+void UnknownScalarFn(const char* type, int value) {
+  FUSEME_CHECK(false) << "unknown " << type << " " << value;
+  std::abort();  // not reached: a failed check aborts
+}
+
 double ApplyUnary(UnaryFn fn, double x) {
-  switch (fn) {
-    case UnaryFn::kIdentity:
-      return x;
-    case UnaryFn::kNeg:
-      return -x;
-    case UnaryFn::kExp:
-      return std::exp(x);
-    case UnaryFn::kLog:
-      return std::log(x);
-    case UnaryFn::kSqrt:
-      return std::sqrt(x);
-    case UnaryFn::kSquare:
-      return x * x;
-    case UnaryFn::kAbs:
-      return std::fabs(x);
-    case UnaryFn::kSigmoid:
-      return 1.0 / (1.0 + std::exp(-x));
-    case UnaryFn::kRelu:
-      return x > 0.0 ? x : 0.0;
-    case UnaryFn::kSin:
-      return std::sin(x);
-    case UnaryFn::kCos:
-      return std::cos(x);
-    case UnaryFn::kNotZero:
-      return x != 0.0 ? 1.0 : 0.0;
-    case UnaryFn::kReciprocal:
-      return 1.0 / x;
-  }
-  return x;
+  return VisitUnaryFn(
+      fn, [x](auto op) { return UnaryOp<decltype(op)::value>(x); });
 }
 
 double ApplyBinary(BinaryFn fn, double x, double y) {
-  switch (fn) {
-    case BinaryFn::kAdd:
-      return x + y;
-    case BinaryFn::kSub:
-      return x - y;
-    case BinaryFn::kMul:
-      return x * y;
-    case BinaryFn::kDiv:
-      return x / y;
-    case BinaryFn::kMin:
-      return std::min(x, y);
-    case BinaryFn::kMax:
-      return std::max(x, y);
-    case BinaryFn::kPow:
-      return std::pow(x, y);
-    case BinaryFn::kEqual:
-      return x == y ? 1.0 : 0.0;
-    case BinaryFn::kNotEqual:
-      return x != y ? 1.0 : 0.0;
-    case BinaryFn::kGreater:
-      return x > y ? 1.0 : 0.0;
-    case BinaryFn::kLess:
-      return x < y ? 1.0 : 0.0;
-  }
-  return 0.0;
+  return VisitBinaryFn(
+      fn, [x, y](auto op) { return BinaryOp<decltype(op)::value>(x, y); });
 }
 
 bool UnaryPreservesZero(UnaryFn fn) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "compile_execute.h"
 #include "engine/compiled_plan.h"
 #include "engine/engine.h"
+#include "ir/expr.h"
 #include "matrix/generators.h"
 #include "workloads/queries.h"
 
@@ -207,6 +209,80 @@ TEST_F(ParallelDeterminismTest, ElapsedSecondsSetOnBothExecutionPaths) {
         EXPECT_GT(s.elapsed_seconds, 0.0) << s.label;
       }
     }
+  }
+}
+
+// Dense transposed operands through the engine: MatMul(T(A), B) and
+// MatMul(A, T(B)) over inputs that span several 8×8 blocks with ragged
+// last rows and columns, so the blocked transpose runs on full and edge
+// blocks.  The inner dimension (7) fits one block, so every output block
+// is a single block product and the engine's result must equal a naive
+// transpose followed by the i-k-j loop bit for bit, at 1 and 4 threads,
+// with identical StageStats.
+class TransposedOperandsTest : public ParallelDeterminismTest {};
+
+DenseMatrix NaiveTranspose(const DenseMatrix& x) {
+  DenseMatrix t(x.cols(), x.rows());
+  for (std::int64_t i = 0; i < x.rows(); ++i) {
+    for (std::int64_t j = 0; j < x.cols(); ++j) t(j, i) = x(i, j);
+  }
+  return t;
+}
+
+// i-k-j, k ascending, a rounded multiply then a rounded add, skipping
+// a(i, k) == 0: the contract of every dense GEMM variant.
+DenseMatrix NaiveProduct(const DenseMatrix& a, const DenseMatrix& b) {
+  DenseMatrix c(a.rows(), b.cols());
+  for (std::int64_t i = 0; i < a.rows(); ++i) {
+    for (std::int64_t k = 0; k < a.cols(); ++k) {
+      const double aik = a(i, k);
+      if (aik == 0.0) continue;
+      for (std::int64_t j = 0; j < b.cols(); ++j) {
+        const double product = aik * b(k, j);
+        c(i, j) = c(i, j) + product;
+      }
+    }
+  }
+  return c;
+}
+
+bool SameBits(const DenseMatrix& x, const DenseMatrix& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.data(), y.data(), sizeof(double) * x.size()) == 0;
+}
+
+TEST_F(TransposedOperandsTest, MatMulMatchesNaiveOracleAtAnyThreads) {
+  const std::int64_t m = 21, k = 7, n = 13;
+  for (bool transpose_lhs : {true, false}) {
+    SCOPED_TRACE(transpose_lhs ? "MatMul(T(A), B)" : "MatMul(A, T(B))");
+    Dag dag;
+    // The transposed input is stored the other way round.
+    const DenseMatrix va = transpose_lhs ? RandomDense(k, m, 71, -1.0, 1.0)
+                                         : RandomDense(m, k, 71, -1.0, 1.0);
+    const DenseMatrix vb = transpose_lhs ? RandomDense(k, n, 72, -1.0, 1.0)
+                                         : RandomDense(n, k, 72, -1.0, 1.0);
+    const Expr a = Expr::Input(&dag, "A", va.rows(), va.cols());
+    const Expr b = Expr::Input(&dag, "B", vb.rows(), vb.cols());
+    const Expr product =
+        transpose_lhs ? MatMul(T(a), b).MarkOutput() : MatMul(a, T(b))
+                                                           .MarkOutput();
+    const DenseMatrix want =
+        transpose_lhs ? NaiveProduct(NaiveTranspose(va), vb)
+                      : NaiveProduct(va, NaiveTranspose(vb));
+    std::map<NodeId, BlockedMatrix> inputs;
+    inputs[a.id()] = BlockedMatrix::FromDense(va, kBs);
+    inputs[b.id()] = BlockedMatrix::FromDense(vb, kBs);
+
+    Engine serial = MakeEngine(Options(/*local_threads=*/1));
+    const Engine::RunResult base = CompileAndExecute(serial, dag, inputs);
+    ASSERT_TRUE(base.report.ok()) << base.report.status;
+    EXPECT_TRUE(
+        SameBits(base.outputs.at(product.id()).blocks().ToDense(), want));
+    Engine parallel = MakeEngine(Options(/*local_threads=*/4));
+    const Engine::RunResult run = CompileAndExecute(parallel, dag, inputs);
+    ExpectIdenticalRuns(base, run);
+    EXPECT_TRUE(
+        SameBits(run.outputs.at(product.id()).blocks().ToDense(), want));
   }
 }
 

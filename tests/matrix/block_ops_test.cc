@@ -6,9 +6,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <limits>
+#include <optional>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -44,6 +49,13 @@ DenseMatrix ValueFor(Repr repr, std::int64_t rows, std::int64_t cols,
   return RandomDense(rows, cols, seed, 0.5, 2.0);
 }
 
+// Bitwise equality: unlike MaxAbsDiff it also tells -0.0 from +0.0 and
+// one NaN payload from another.
+bool SameBits(const DenseMatrix& x, const DenseMatrix& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.data(), y.data(), sizeof(double) * x.size()) == 0;
+}
+
 class EwiseBinaryAllReprs
     : public ::testing::TestWithParam<std::tuple<Repr, Repr, BinaryFn>> {};
 
@@ -59,28 +71,12 @@ TEST_P(EwiseBinaryAllReprs, MatchesDenseReference) {
   ASSERT_TRUE(result.ok()) << result.status();
 
   DenseMatrix expected(6, 5);
-  bool expect_nan_possible = false;
   for (std::int64_t i = 0; i < 6; ++i) {
     for (std::int64_t j = 0; j < 5; ++j) {
       expected(i, j) = ApplyBinary(fn, va(i, j), vb(i, j));
-      if (std::isnan(expected(i, j))) expect_nan_possible = true;
     }
   }
-  if (expect_nan_possible) {
-    // NaN-aware comparison.
-    DenseMatrix got = result->ToDense();
-    for (std::int64_t i = 0; i < 6; ++i) {
-      for (std::int64_t j = 0; j < 5; ++j) {
-        if (std::isnan(expected(i, j))) {
-          EXPECT_TRUE(std::isnan(got(i, j)));
-        } else {
-          EXPECT_DOUBLE_EQ(got(i, j), expected(i, j));
-        }
-      }
-    }
-  } else {
-    EXPECT_LE(DenseMatrix::MaxAbsDiff(result->ToDense(), expected), 1e-12);
-  }
+  EXPECT_TRUE(SameBits(result->ToDense(), expected));
   if (!(a.is_zero() && b.is_zero())) {
     EXPECT_GE(flops, 0);
   }
@@ -118,6 +114,30 @@ TEST(EwiseBinaryTest, MulFlopsProportionalToSparseNnz) {
   std::int64_t flops = 0;
   ASSERT_TRUE(EwiseBinary(BinaryFn::kMul, sparse, dense, &flops).ok());
   EXPECT_EQ(flops, sparse.nnz());  // sparsity exploitation at block level
+}
+
+// 0 - b is -b: one negation per stored entry of b, charged once, which
+// is what the meta estimate min(cells, nnz(a) + nnz(b)) gives.
+TEST(EwiseBinaryTest, ZeroMinusBlockChargesOnce) {
+  DenseMatrix dense_value = RandomDense(12, 10, 31, 0.5, 2.0);
+  dense_value(3, 4) = 0.0;
+  for (const Block& b :
+       {Block::FromDense(dense_value),
+        Block::FromSparse(RandomSparse(12, 10, 0.2, 32, 0.5, 2.0))}) {
+    SCOPED_TRACE(b.ToString());
+    std::int64_t flops = 0;
+    auto result = EwiseBinary(BinaryFn::kSub, Block::Zero(12, 10), b, &flops);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(flops, b.nnz());
+    std::int64_t meta_flops = 0;
+    ASSERT_TRUE(EwiseBinary(BinaryFn::kSub, Block::Meta(12, 10, 0),
+                            Block::Meta(12, 10, b.nnz()), &meta_flops)
+                    .ok());
+    EXPECT_EQ(flops, meta_flops);
+    auto negated = Unary(UnaryFn::kNeg, b);
+    ASSERT_TRUE(negated.ok());
+    EXPECT_TRUE(SameBits(result->ToDense(), negated->ToDense()));
+  }
 }
 
 TEST(EwiseBinaryTest, MetaPropagatesEstimate) {
@@ -307,13 +327,6 @@ TEST(MatMulAccTest, InnerDimMismatchIsInvalidArgument) {
   Status st = MatMulAcc(&acc, a, b);
   EXPECT_TRUE(st.IsInvalidArgument()) << st;
   EXPECT_NE(st.message().find("2x3"), std::string::npos) << st;
-}
-
-// Bitwise equality: unlike MaxAbsDiff it also tells -0.0 from +0.0 and
-// one NaN payload from another.
-bool SameBits(const DenseMatrix& x, const DenseMatrix& y) {
-  return x.rows() == y.rows() && x.cols() == y.cols() &&
-         std::memcmp(x.data(), y.data(), sizeof(double) * x.size()) == 0;
 }
 
 // The exactness contract every dense GEMM variant meets: i-k-j, k
@@ -581,6 +594,303 @@ TEST(MergeAggTest, MaxMergesPartials) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->At(0, 0), 5.0);
   EXPECT_EQ(result->At(0, 1), 9.0);
+}
+
+// --- Every element-wise op and reduction against a scalar oracle. ---
+//
+// The kernels run one loop per function instead of a per-cell
+// ApplyBinary / ApplyUnary call, and read dense operands in place.  The
+// oracle below is the per-cell call on each operand's dense values, plus
+// the block layer's sparsity rules:
+//  - a function that maps 0 to 0 (x * 0 for *, fn(0) == 0 for the scalar
+//    and unary ops) skips a sparse operand's implicit zeros, which stay
+//    +0.0 whatever fn(0) is (-0.0, say);
+//  - adding or subtracting an all-zero block returns the other operand
+//    as it is (a + 0 leaves a -0.0 in a alone);
+//  - a result stored sparse or as a zero block reads its zeros back as
+//    +0.0, and its storage follows kDenseStorageThreshold.
+// Operands mix a NaN with a payload, ±Inf, ±0.0 and denormals into
+// random values.  Every NaN operand carries that one payload, so no cell
+// depends on which NaN operand an instruction propagates.
+
+double PayloadNan() {
+  const std::uint64_t bits = 0x7ff80000000001c3ULL;
+  double nan;
+  std::memcpy(&nan, &bits, sizeof(nan));
+  return nan;
+}
+
+/// Random values with specials mixed in.  With `sparse`, about 70% of the
+/// cells are zero (cell 0 never is, so a 1x1 operand still has an entry).
+/// Without `neg_inf`, -Inf is left out: a sum that meets +Inf and -Inf
+/// makes a second NaN, the default one, and which of two NaN payloads an
+/// add returns depends on its operand order.
+DenseMatrix SpecialOperand(std::int64_t rows, std::int64_t cols,
+                           std::uint64_t seed, bool sparse,
+                           bool neg_inf = true) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const double specials[] = {PayloadNan(), inf,         neg_inf ? -inf : 7.0,
+                             0.0,          -0.0,        denorm,
+                             -3 * denorm,  0x1p-1040,   -1.0};
+  DenseMatrix m = RandomDense(rows, cols, seed, -2.0, 2.0);
+  std::uint64_t state = seed * 0x9E3779B97F4A7C15ULL + 1;
+  auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  for (std::int64_t i = 0; i < m.size(); ++i) {
+    if (sparse && i > 0 && next() % 10 < 7) {
+      m.data()[i] = 0.0;
+    } else if (next() % 4 == 0) {
+      m.data()[i] = specials[next() % std::size(specials)];
+    }
+  }
+  if (sparse && m.data()[0] == 0.0) m.data()[0] = 1.25;
+  return m;
+}
+
+/// True when `value`, read from `block`, is an entry the block does not
+/// store (every cell of a zero block, the zeros of a sparse one).
+bool Implicit(const Block& block, double value) {
+  return block.is_zero() ||
+         (block.kind() == Block::Kind::kSparse && value == 0.0);
+}
+
+std::string Bits(double v) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(bits));
+  return buf;
+}
+
+/// `got` against the oracle: exact flops, the kind and nnz the kernels'
+/// normalisation gives the oracle's values (`kind` overrides the kind, for
+/// a result that is an operand passed through), and every value bit for bit.
+::testing::AssertionResult MatchesOracle(
+    const Result<Block>& got, std::int64_t got_flops, DenseMatrix want,
+    std::int64_t want_flops, std::optional<Block::Kind> kind = std::nullopt) {
+  if (!got.ok()) {
+    return ::testing::AssertionFailure() << got.status().ToString();
+  }
+  const std::int64_t nnz = want.CountNonZeros();
+  if (!kind) {
+    kind = nnz == 0 ? Block::Kind::kZero
+           : static_cast<double>(nnz) / want.size() < kDenseStorageThreshold
+               ? Block::Kind::kSparse
+               : Block::Kind::kDense;
+  }
+  if (*kind != Block::Kind::kDense) {
+    for (std::int64_t i = 0; i < want.size(); ++i) {
+      if (want.data()[i] == 0.0) want.data()[i] = 0.0;
+    }
+  }
+  if (got->kind() != *kind) {
+    return ::testing::AssertionFailure()
+           << "kind " << static_cast<int>(got->kind()) << ", want "
+           << static_cast<int>(*kind);
+  }
+  if (got->nnz() != nnz) {
+    return ::testing::AssertionFailure()
+           << "nnz " << got->nnz() << ", want " << nnz;
+  }
+  if (got_flops != want_flops) {
+    return ::testing::AssertionFailure()
+           << "flops " << got_flops << ", want " << want_flops;
+  }
+  const DenseMatrix values = got->ToDense();
+  for (std::int64_t i = 0; i < want.size(); ++i) {
+    if (std::memcmp(&values.data()[i], &want.data()[i], sizeof(double)) != 0) {
+      return ::testing::AssertionFailure()
+             << "cell " << i << ": " << Bits(values.data()[i]) << ", want "
+             << Bits(want.data()[i]);
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+const BinaryFn kAllBinary[] = {
+    BinaryFn::kAdd,   BinaryFn::kSub,      BinaryFn::kMul,
+    BinaryFn::kDiv,   BinaryFn::kMin,      BinaryFn::kMax,
+    BinaryFn::kPow,   BinaryFn::kEqual,    BinaryFn::kNotEqual,
+    BinaryFn::kGreater, BinaryFn::kLess};
+
+const UnaryFn kAllUnary[] = {
+    UnaryFn::kIdentity, UnaryFn::kNeg,     UnaryFn::kExp,
+    UnaryFn::kLog,      UnaryFn::kSqrt,    UnaryFn::kSquare,
+    UnaryFn::kAbs,      UnaryFn::kSigmoid, UnaryFn::kRelu,
+    UnaryFn::kSin,      UnaryFn::kCos,     UnaryFn::kNotZero,
+    UnaryFn::kReciprocal};
+
+TEST(BlockOpsTest, EveryElementwiseOpMatchesScalarOracleBitwise) {
+  const std::int64_t shapes[][2] = {{1, 1}, {7, 9}, {33, 65}, {256, 256}};
+  const double scalars[] = {2.5, -0.0, std::numeric_limits<double>::infinity(),
+                            PayloadNan(), 0x1p-1050};
+  std::uint64_t seed = 500;
+  for (const auto& shape : shapes) {
+    const std::int64_t rows = shape[0], cols = shape[1], cells = rows * cols;
+    SCOPED_TRACE(::testing::Message() << rows << "x" << cols);
+    const Block dense = Block::FromDense(
+        SpecialOperand(rows, cols, ++seed, /*sparse=*/false));
+    const Block dense2 = Block::FromDense(
+        SpecialOperand(rows, cols, ++seed, /*sparse=*/false));
+    const Block sparse = Block::FromSparse(SparseMatrix::FromDense(
+        SpecialOperand(rows, cols, ++seed, /*sparse=*/true)));
+    const Block zero = Block::Zero(rows, cols);
+    ASSERT_EQ(sparse.kind(), Block::Kind::kSparse);
+
+    // Every BinaryFn over dense·dense, dense·sparse, sparse·dense and
+    // dense·zero.
+    const std::pair<const Block*, const Block*> pairs[] = {
+        {&dense, &dense2}, {&dense, &sparse}, {&sparse, &dense},
+        {&dense, &zero}};
+    for (BinaryFn fn : kAllBinary) {
+      for (const auto& [a, b] : pairs) {
+        SCOPED_TRACE(::testing::Message()
+                     << a->ToString() << " " << BinaryFnName(fn) << " "
+                     << b->ToString());
+        const DenseMatrix x = a->ToDense(), y = b->ToDense();
+        const bool mul = fn == BinaryFn::kMul;
+        const bool add_sub = fn == BinaryFn::kAdd || fn == BinaryFn::kSub;
+        std::int64_t flops = 0;
+        const Result<Block> got = EwiseBinary(fn, *a, *b, &flops);
+        if (add_sub && b->is_zero()) {
+          EXPECT_TRUE(MatchesOracle(got, flops, x, 0, a->kind()));
+          continue;
+        }
+        DenseMatrix want(rows, cols);
+        for (std::int64_t i = 0; i < cells; ++i) {
+          const double xi = x.data()[i], yi = y.data()[i];
+          want.data()[i] = mul && (Implicit(*a, xi) || Implicit(*b, yi))
+                               ? 0.0
+                               : ApplyBinary(fn, xi, yi);
+        }
+        std::int64_t want_flops = cells;
+        if (mul && b->is_zero()) {
+          want_flops = 0;
+        } else if (mul && (a == &sparse || b == &sparse)) {
+          want_flops = sparse.nnz();
+        }
+        EXPECT_TRUE(MatchesOracle(got, flops, want, want_flops));
+      }
+    }
+
+    // Every BinaryFn with a scalar on either side, over dense and sparse.
+    for (BinaryFn fn : kAllBinary) {
+      for (double scalar : scalars) {
+        for (bool scalar_left : {true, false}) {
+          for (const Block* a : {&dense, &sparse}) {
+            SCOPED_TRACE(::testing::Message()
+                         << a->ToString() << " " << BinaryFnName(fn)
+                         << " scalar " << Bits(scalar)
+                         << (scalar_left ? " on the left" : " on the right"));
+            auto apply = [&](double v) {
+              return scalar_left ? ApplyBinary(fn, scalar, v)
+                                 : ApplyBinary(fn, v, scalar);
+            };
+            const bool skips_zeros =
+                a->kind() == Block::Kind::kSparse && apply(0.0) == 0.0;
+            const DenseMatrix x = a->ToDense();
+            DenseMatrix want(rows, cols);
+            for (std::int64_t i = 0; i < cells; ++i) {
+              const double xi = x.data()[i];
+              want.data()[i] =
+                  skips_zeros && Implicit(*a, xi) ? 0.0 : apply(xi);
+            }
+            std::int64_t flops = 0;
+            const Result<Block> got =
+                EwiseScalar(fn, *a, scalar, scalar_left, &flops);
+            EXPECT_TRUE(MatchesOracle(got, flops, want,
+                                      skips_zeros ? a->nnz() : cells));
+          }
+        }
+      }
+    }
+
+    // Every UnaryFn over dense, sparse and zero blocks.
+    for (UnaryFn fn : kAllUnary) {
+      for (const Block* a : {&dense, &sparse, &zero}) {
+        SCOPED_TRACE(::testing::Message()
+                     << UnaryFnName(fn) << " " << a->ToString());
+        const bool skips_zeros =
+            !a->is_zero() && a->kind() == Block::Kind::kSparse &&
+            UnaryPreservesZero(fn);
+        const DenseMatrix x = a->ToDense();
+        DenseMatrix want(rows, cols);
+        for (std::int64_t i = 0; i < cells; ++i) {
+          const double xi = x.data()[i];
+          want.data()[i] =
+              skips_zeros && Implicit(*a, xi) ? 0.0 : ApplyUnary(fn, xi);
+        }
+        std::int64_t want_flops = cells;
+        if (skips_zeros) {
+          want_flops = a->nnz();
+        } else if (a->is_zero() && UnaryPreservesZero(fn)) {
+          want_flops = 0;
+        }
+        std::int64_t flops = 0;
+        const Result<Block> got = Unary(fn, *a, &flops);
+        EXPECT_TRUE(MatchesOracle(got, flops, want, want_flops));
+      }
+    }
+
+    // FullAgg / RowAgg / ColAgg x sum / min / max over dense, sparse and
+    // zero blocks: each slice folds in row-major order, a sum from 0.0 and
+    // min / max from the slice's first element.
+    const Block agg_dense = Block::FromDense(SpecialOperand(
+        rows, cols, ++seed, /*sparse=*/false, /*neg_inf=*/false));
+    const Block agg_sparse = Block::FromSparse(SparseMatrix::FromDense(
+        SpecialOperand(rows, cols, ++seed, /*sparse=*/true,
+                       /*neg_inf=*/false)));
+    for (AggFn fn : {AggFn::kSum, AggFn::kMin, AggFn::kMax}) {
+      const BinaryFn fold = fn == AggFn::kSum   ? BinaryFn::kAdd
+                            : fn == AggFn::kMin ? BinaryFn::kMin
+                                                : BinaryFn::kMax;
+      for (const Block* a : {&agg_dense, &agg_sparse, &zero}) {
+        SCOPED_TRACE(::testing::Message()
+                     << AggFnName(fn) << " " << a->ToString());
+        const DenseMatrix x = a->ToDense();
+        // Folds x's cells first, first + step, ... (count of them).
+        auto fold_slice = [&](std::int64_t first, std::int64_t step,
+                              std::int64_t count) {
+          double acc = fn == AggFn::kSum ? 0.0 : x.data()[first];
+          for (std::int64_t k = fn == AggFn::kSum ? 0 : 1; k < count; ++k) {
+            acc = ApplyBinary(fold, acc, x.data()[first + k * step]);
+          }
+          return acc;
+        };
+        const std::int64_t want_flops =
+            a->is_zero() && fn == AggFn::kSum ? 0
+            : a->kind() == Block::Kind::kSparse && fn == AggFn::kSum
+                ? a->nnz()
+                : cells;
+
+        DenseMatrix full(1, 1);
+        full(0, 0) = fold_slice(0, 1, cells);
+        DenseMatrix row(rows, 1);
+        for (std::int64_t i = 0; i < rows; ++i) {
+          row(i, 0) = fold_slice(i * cols, 1, cols);
+        }
+        DenseMatrix col(1, cols);
+        for (std::int64_t j = 0; j < cols; ++j) {
+          col(0, j) = fold_slice(j, cols, rows);
+        }
+        const std::pair<const char*, decltype(&FullAgg)> aggs[] = {
+            {"FullAgg", &FullAgg}, {"RowAgg", &RowAgg}, {"ColAgg", &ColAgg}};
+        const DenseMatrix* wants[] = {&full, &row, &col};
+        for (int k = 0; k < 3; ++k) {
+          std::int64_t flops = 0;
+          const Result<Block> got = aggs[k].second(fn, *a, &flops);
+          EXPECT_TRUE(MatchesOracle(got, flops, *wants[k], want_flops))
+              << aggs[k].first;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "matrix/dense_matrix.h"
 
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -96,6 +97,38 @@ TEST(DenseMatrixTest, Transposed) {
   EXPECT_EQ(t.cols(), 2);
   for (std::int64_t i = 0; i < 2; ++i) {
     for (std::int64_t j = 0; j < 3; ++j) EXPECT_EQ(t(j, i), m(i, j));
+  }
+}
+
+// The cache-blocked transpose against the naive loop, compared as bytes
+// (operator== cannot tell -0.0 from +0.0 and never matches a NaN): shapes
+// that are empty, one row or column long, ragged at the 32-wide tile edge,
+// a whole number of tiles, and wide.
+TEST(DenseMatrixTest, TransposedMatchesNaiveBitwise) {
+  const std::uint64_t nan_bits = 0x7ff8000000000abcULL;
+  double nan;
+  std::memcpy(&nan, &nan_bits, sizeof(nan));
+  const std::int64_t shapes[][2] = {{0, 5},   {1, 257},  {257, 1}, {31, 33},
+                                    {64, 64}, {130, 512}, {256, 256}};
+  std::uint64_t seed = 900;
+  for (const auto& shape : shapes) {
+    const std::int64_t rows = shape[0], cols = shape[1];
+    SCOPED_TRACE(::testing::Message() << rows << "x" << cols);
+    DenseMatrix m = RandomDense(rows, cols, ++seed, -1.0, 1.0);
+    for (std::int64_t i = 0; i < m.size(); ++i) {
+      if (i % 7 == 3) m.data()[i] = -0.0;
+      if (i % 11 == 5) m.data()[i] = i % 2 == 0 ? nan : -nan;
+    }
+    DenseMatrix naive(cols, rows);
+    for (std::int64_t i = 0; i < rows; ++i) {
+      for (std::int64_t j = 0; j < cols; ++j) naive(j, i) = m(i, j);
+    }
+    const DenseMatrix t = m.Transposed();
+    ASSERT_EQ(t.rows(), cols);
+    ASSERT_EQ(t.cols(), rows);
+    // memcmp takes no null pointer, even for zero bytes.
+    EXPECT_TRUE(t.size() == 0 || std::memcmp(t.data(), naive.data(),
+                                             sizeof(double) * t.size()) == 0);
   }
 }
 
